@@ -43,7 +43,7 @@ from .data import (
     standardize,
 )
 from .exhaustive import LinearGrid, exhaustive_search, select_top2_features
-from .losses import LossSpec, batch_loss, eu_loss, log_loss, team_loss
+from .losses import LossSpec, batch_loss, per_example_loss
 from .optim import (
     AdamState,
     TrainConfig,

@@ -30,6 +30,7 @@ from .team_model import (
     expected_utilities,
     predicted_labels,
     true_label_probs,
+    utilities,
 )
 
 __all__ = [
@@ -173,10 +174,9 @@ def report(
     prob1 = _model_outputs(model, dataset)
     y = dataset.labels
     n = dataset.n_examples
-    conf = confidences(prob1)
     correct = (predicted_labels(prob1) == y).astype(np.float64)
     psi = expected_utilities(prob1, y, policy)
-    accepted = conf >= policy.accept_threshold
+    accepted = utilities(prob1, y, policy)[0] > 0.0
     metrics = Metrics(
         accuracy=float(np.mean(correct)),
         expected_utility=float(np.mean(psi)),

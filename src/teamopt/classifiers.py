@@ -11,6 +11,7 @@ any upstream derivative with respect to the positive-class probability.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -291,31 +292,54 @@ def model_to_dict(model: Model) -> dict:
     return out
 
 
-_MLP_SHAPES = {
-    "w1": (HIDDEN1, None),
-    "b1": (HIDDEN1,),
-    "w2": (HIDDEN2, HIDDEN1),
-    "b2": (HIDDEN2,),
-    "w3": (HIDDEN2,),
-    "b3": (1,),
-}
+def _param_shapes(kind: str, n: int) -> dict[str, tuple[int, ...]]:
+    if kind == "linear":
+        return {"weights": (n,), "bias": (1,)}
+    return {
+        "w1": (HIDDEN1, n), "b1": (HIDDEN1,), "w2": (HIDDEN2, HIDDEN1),
+        "b2": (HIDDEN2,), "w3": (HIDDEN2,), "b3": (1,),
+    }
 
 
 def model_from_dict(data: dict) -> Model:
-    kind = data.get("kind")
-    n = int(data["n_features"])
-    if kind == "linear":
-        return LinearModel(
-            weights=np.asarray(data["weights"], dtype=np.float64).reshape(n),
-            bias=np.asarray(data["bias"], dtype=np.float64).reshape(1),
-        )
-    if kind == "mlp":
-        arrays = {}
-        for name, shape in _MLP_SHAPES.items():
-            shape = tuple(n if s is None else s for s in shape)
-            arrays[name] = np.asarray(data[name], dtype=np.float64).reshape(shape)
-        return MlpModel(**arrays)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Rebuild a model from ``model_to_dict`` output.
+
+    Raises ValueError naming the problem for a missing or unknown key, an
+    unknown kind, a parameter of the wrong length, or a non-finite value.
+    Parameters are flat row-major lists, as ``model_to_dict`` writes them.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"model must be a JSON object, got {type(data).__name__}")
+    for key in ("kind", "n_features"):
+        if key not in data:
+            raise ValueError(f"model is missing key {key!r}")
+    kind, n = data["kind"], data["n_features"]
+    if kind not in ("linear", "mlp"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n_features must be an integer >= 1, got {n!r}")
+    shapes = _param_shapes(kind, n)
+    problems = [f"missing key {k!r}" for k in sorted(set(shapes) - set(data))]
+    problems += [
+        f"unknown key {k!r}" for k in sorted(set(data) - set(shapes) - {"kind", "n_features"})
+    ]
+    if problems:
+        raise ValueError(f"{kind} model: " + ", ".join(problems))
+    arrays = {}
+    for name, shape in shapes.items():
+        try:
+            value = np.asarray(data[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"model parameter {name!r} is not a numeric array") from None
+        if value.shape != (math.prod(shape),):
+            raise ValueError(
+                f"model parameter {name!r} has shape {value.shape}, expected "
+                f"{math.prod(shape)} values for shape {shape}"
+            )
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"model parameter {name!r} holds non-finite values")
+        arrays[name] = value.reshape(shape)
+    return LinearModel(**arrays) if kind == "linear" else MlpModel(**arrays)
 
 
 def save_model(model: Model, path) -> None:
@@ -323,4 +347,8 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """Read a model file; ValueError names the file and what is wrong with it."""
+    try:
+        return model_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

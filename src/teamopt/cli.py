@@ -13,15 +13,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 from . import analysis, data, exhaustive, pipeline
-from .classifiers import init_model, load_model, save_model
-from .losses import LossSpec
-from .optim import TrainConfig, train
+from .classifiers import load_model, save_model
+from .optim import TrainConfig
 from .team_model import HumanPolicy, UtilityParams
 
 LOSS_NAMES = {
@@ -118,6 +115,10 @@ def _train_config(resolved: dict) -> TrainConfig:
     )
 
 
+def _seeds(resolved: dict) -> list[int]:
+    return [resolved["seed"] + s for s in range(resolved["seeds"])]
+
+
 def cmd_gen_data(args: argparse.Namespace) -> int:
     resolved = _resolve(args, {"kind": None, "n": 10000, "seed": _base_seed(), "out": None, "noise_std": 0.2})
     if resolved["kind"] == "scenario1":
@@ -148,34 +149,32 @@ def cmd_train(args: argparse.Namespace) -> int:
             **_POLICY_DEFAULTS, **_TRAIN_DEFAULTS,
         },
     )
+    loss_kind = LOSS_NAMES[resolved["loss"]]
+    # "auto" trains the log-loss reference first; a path warm-starts from it
+    warm_start = resolved["warm_start"] != "auto"
+    if warm_start and loss_kind == "log_loss":
+        raise ValueError("--warm-start takes a model path only with --loss eu or team")
     out_dir = Path(resolved["out"])
     _write_resolved(out_dir, resolved)
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     policy = _policy(resolved)
     config = _train_config(resolved)
-    loss_kind = LOSS_NAMES[resolved["loss"]]
-    # "auto" trains the log-loss reference first; a path warm-starts from it
-    warm_model = None
-    if resolved["warm_start"] != "auto":
-        warm_model = load_model(resolved["warm_start"])
+    warm_model = load_model(resolved["warm_start"]) if warm_start else None
 
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
     if loss_kind == "log_loss":
-        outcomes = []
-        for s in range(resolved["seeds"]):
-            _, fit, val, test, baseline_seed, _ = pipeline.seed_splits(
-                dataset, resolved["seed"] + s
-            )
-            result = train(
-                init_model(resolved["model"], dataset.n_features, seed=baseline_seed),
-                fit,
-                val,
-                LossSpec(kind="log_loss", policy=policy),
-                replace(config, checkpoint_metric="accuracy", seed=baseline_seed),
-            )
-            save_model(result.best_model, models_dir / f"baseline_seed{s}.json")
-            outcomes.append(analysis.evaluate(result.best_model, test, policy).to_dict())
+        runs = pipeline.fan_out(
+            partial(
+                pipeline.reference_seed,
+                dataset=dataset, model_kind=resolved["model"], policy=policy, config=config,
+            ),
+            _seeds(resolved),
+            resolved["jobs"],
+        )
+        for s, (model, _) in enumerate(runs):
+            save_model(model, models_dir / f"baseline_seed{s}.json")
+        outcomes = [metrics.to_dict() for _, metrics in runs]
         (out_dir / "report.json").write_text(
             json.dumps({"per_seed": outcomes}, indent=2, sort_keys=True) + "\n"
         )
@@ -230,24 +229,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exhaustive_seed(seed, name, *, dataset2d, policy, config, grid):
-    """One loss-metric-mismatch row: trained reference vs both searches."""
-    train80, fit, val, test, baseline_seed, _ = pipeline.seed_splits(dataset2d, seed)
-    baseline = train(
-        init_model("linear", 2, seed=baseline_seed), fit, val,
-        LossSpec(kind="log_loss", policy=policy),
-        replace(config, checkpoint_metric="accuracy", seed=baseline_seed),
-    ).best_model
-    model_eu = exhaustive.exhaustive_search(train80, "expected_utility", policy, grid)
-    model_emp = exhaustive.exhaustive_search(train80, "empirical_utility", policy, grid)
-    return exhaustive.mismatch_columns(
-        name,
-        analysis.evaluate(baseline, test, policy),
-        analysis.evaluate(model_eu, test, policy),
-        analysis.evaluate(model_emp, test, policy),
-    )
-
-
 def cmd_exhaustive(args: argparse.Namespace) -> int:
     resolved = _resolve(
         args,
@@ -274,20 +255,17 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     top2 = exhaustive.select_top2_features(dataset)
     dataset2d = data.select_features(dataset, top2)
 
-    run_one = partial(
-        _exhaustive_seed, dataset2d=dataset2d, policy=policy, config=config, grid=grid
+    scored = pipeline.fan_out(
+        partial(
+            pipeline.mismatch_seed, dataset=dataset2d, policy=policy, config=config, grid=grid
+        ),
+        _seeds(resolved),
+        resolved["jobs"],
     )
-    tasks = [
-        (resolved["seed"] + s, f"{resolved['dataset_name']}-seed{s}")
-        for s in range(resolved["seeds"])
+    rows = [
+        exhaustive.mismatch_columns(f"{resolved['dataset_name']}-seed{s}", *metrics)
+        for s, metrics in enumerate(scored)
     ]
-    if resolved["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=resolved["jobs"]) as pool:
-            rows = list(
-                pool.map(run_one, [t[0] for t in tasks], [t[1] for t in tasks])
-            )
-    else:
-        rows = [run_one(seed, name) for seed, name in tasks]
     mean_row = {"dataset": resolved["dataset_name"]}
     for key in ("eu_logloss", "emp_logloss", "delta_eu_a", "delta_emp_b", "delta_emp_c"):
         mean_row[key] = float(sum(r[key] for r in rows) / len(rows))

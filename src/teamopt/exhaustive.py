@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifiers import LOGIT_CLAMP, LinearModel, sigmoid
 from .data import Dataset
-from .team_model import HumanPolicy
+from .team_model import HumanPolicy, utilities
 
 __all__ = [
     "LinearGrid",
@@ -109,19 +109,6 @@ def select_top2_features(dataset: Dataset) -> tuple[int, int]:
     return (ranked[0], ranked[1])
 
 
-def _objective_values(prob1, labels, policy: HumanPolicy, objective: str) -> np.ndarray:
-    params = policy.params
-    conf = np.maximum(prob1, 1.0 - prob1)
-    p_accept = np.where(conf >= params.accept_threshold, policy.accept_probability, 0.0)
-    if objective == "expected_utility":
-        h_true = np.where(labels == 1, prob1, 1.0 - prob1)
-        accept_term = (1.0 + params.beta) * h_true - params.beta
-    else:
-        correct = (prob1 > 0.5) == (labels == 1)
-        accept_term = np.where(correct, 1.0, -params.beta)
-    return p_accept * accept_term + (1.0 - p_accept) * params.solve_utility
-
-
 def exhaustive_search(
     dataset: Dataset,
     objective: str,
@@ -152,7 +139,7 @@ def exhaustive_search(
         for si, s in enumerate(sharpness):
             z = s * (proj[:, None] - offsets[None, :])
             prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
-            scores[:, si] = _objective_values(prob1, y, policy, objective).mean(axis=0)
+            scores[:, si] = utilities(prob1, y, policy, objective)[1].mean(axis=0)
         flat = np.argmax(scores)
         if scores.flat[flat] > best_score:
             best_score = float(scores.flat[flat])

@@ -1,8 +1,8 @@
 """Training objectives: log-loss, negated team utility, and the team-shaped log loss.
 
-Each loss exposes a per-example form returning (value, d_value/d_prob_of_true_label)
-and a batched ``batch_loss`` that reduces over a mini-batch, adds L2 weight
-decay, and backpropagates through the model.
+``per_example_loss`` returns vectorized per-example values and derivatives
+with respect to the positive-class probability; ``batch_loss`` reduces them
+over a mini-batch, adds L2 weight decay, and backpropagates through the model.
 
 The accept/solve branch indicator is treated as a constant under
 differentiation: it is a step function with zero derivative almost
@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import GradientBuffer, Model, backward_batch, forward_batch
-from .team_model import HumanPolicy, Prediction, confidences, true_label_probs
+from .team_model import HumanPolicy, true_label_probs, utilities
 
 __all__ = [
     "LOSS_KINDS",
     "LossSpec",
-    "log_loss",
-    "eu_loss",
-    "team_loss",
+    "per_example_loss",
     "batch_loss",
 ]
 
@@ -64,77 +62,26 @@ class LossSpec:
         return self.policy.params.beta
 
 
-def log_loss(pred: Prediction, true_label: int) -> tuple[float, float]:
-    """-log h[y] and its derivative -1/h[y] (probability floored at 1e-12)."""
-    p = max(float(pred.probs[true_label]), PROB_FLOOR)
-    return float(-np.log(p)), -1.0 / p
+def per_example_loss(prob1, labels, spec: LossSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized per-example loss values and d(value)/d(prob1).
 
-
-def eu_loss(
-    pred: Prediction, true_label: int, policy: HumanPolicy
-) -> tuple[float, float]:
-    """Negated expected team utility.
-
-    Accept branch: value -(1+beta)*h[y] + beta scaled by the accept
-    probability, gradient -p_accept*(1+beta). Solve branch: constant value,
-    zero gradient.
+    ``log_loss`` is -log h[y] (h floored at 1e-12); ``expected_utility_loss``
+    is the negated team utility, with gradient -p_accept*(1+beta) w.r.t. h[y];
+    ``team_loss`` is -log(utility + offset). Where the overseer solves
+    (p_accept == 0) both team losses are flat with exactly zero gradient.
     """
-    params = policy.params
-    h_true = float(pred.probs[true_label])
-    if pred.confidence >= params.accept_threshold:
-        p_accept = policy.accept_probability
-        grad = -p_accept * (1.0 + params.beta)
-    else:
-        p_accept = 0.0
-        grad = 0.0
-    accept_term = (1.0 + params.beta) * h_true - params.beta
-    value = -(p_accept * accept_term + (1.0 - p_accept) * params.solve_utility)
-    return value, grad
-
-
-def team_loss(
-    pred: Prediction,
-    true_label: int,
-    policy: HumanPolicy,
-    team_offset: float | None = None,
-) -> tuple[float, float]:
-    """-log(utility + offset): log-loss shaped where accepted, flat where solved."""
-    params = policy.params
-    offset = params.beta if team_offset is None else team_offset
-    if not offset > 0.0:
-        raise ValueError(f"team_offset must be > 0, got {offset}")
-    h_true = float(pred.probs[true_label])
-    if pred.confidence >= params.accept_threshold:
-        p_accept = policy.accept_probability
-    else:
-        p_accept = 0.0
-    accept_term = (1.0 + params.beta) * h_true - params.beta
-    psi = p_accept * accept_term + (1.0 - p_accept) * params.solve_utility
-    shifted = max(psi + offset, PROB_FLOOR)
-    value = float(-np.log(shifted))
-    grad = -p_accept * (1.0 + params.beta) / shifted if p_accept > 0.0 else 0.0
-    return value, grad
-
-
-def _per_example(prob1, labels, spec: LossSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-example loss values and d(value)/d(prob1)."""
     p1 = np.asarray(prob1, dtype=np.float64)
     y = np.asarray(labels)
-    h_true = true_label_probs(p1, y)
     to_p1 = np.where(y == 1, 1.0, -1.0)
     if spec.kind == "log_loss":
-        clamped = np.maximum(h_true, PROB_FLOOR)
+        clamped = np.maximum(true_label_probs(p1, y), PROB_FLOOR)
         return -np.log(clamped), (-1.0 / clamped) * to_p1
-    policy = spec.policy
-    params = policy.params
-    accept = confidences(p1) >= params.accept_threshold
-    p_accept = np.where(accept, policy.accept_probability, 0.0)
-    accept_term = (1.0 + params.beta) * h_true - params.beta
-    psi = p_accept * accept_term + (1.0 - p_accept) * params.solve_utility
+    p_accept, psi = utilities(p1, y, spec.policy)
+    slope = 1.0 + spec.policy.params.beta
     if spec.kind == "expected_utility_loss":
-        return -psi, -p_accept * (1.0 + params.beta) * to_p1
+        return -psi, -p_accept * slope * to_p1
     shifted = np.maximum(psi + spec.offset, PROB_FLOOR)
-    grad = -p_accept * (1.0 + params.beta) / shifted
+    grad = -p_accept * slope / shifted
     return -np.log(shifted), grad * to_p1
 
 
@@ -160,7 +107,7 @@ def batch_loss(
     if l2_weight < 0.0:
         raise ValueError(f"l2_weight must be >= 0, got {l2_weight}")
     prob1, cache = forward_batch(model, X)
-    values, d_p1 = _per_example(prob1, y, spec)
+    values, d_p1 = per_example_loss(prob1, y, spec)
     n = X.shape[0]
     grads = backward_batch(model, cache, d_p1 / n)
     value = float(np.mean(values))

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -28,6 +29,7 @@ import numpy as np
 from .analysis import Metrics, evaluate
 from .classifiers import Model, init_model
 from .data import Dataset, split, standardize
+from .exhaustive import OBJECTIVES, LinearGrid, exhaustive_search
 from .losses import LossSpec
 from .optim import TrainConfig, TrainResult, train
 from .team_model import HumanPolicy, UtilityParams
@@ -39,7 +41,11 @@ __all__ = [
     "SweepPoint",
     "derive_seeds",
     "seed_splits",
+    "fan_out",
     "cross_validate",
+    "train_reference",
+    "reference_seed",
+    "mismatch_seed",
     "train_pair",
     "run_experiment",
     "sweep",
@@ -107,6 +113,17 @@ def seed_splits(
     return train80, fit, val, test, baseline_seed, team_seed
 
 
+def fan_out(fn, seeds: list[int], jobs: int = 1) -> list:
+    """``[fn(s) for s in seeds]``; ``jobs`` > 1 runs the calls in up to that
+    many freshly spawned worker processes (``fn`` must pickle), and the
+    results still come back in seed order."""
+    if jobs > 1 and len(seeds) > 1:
+        workers = min(jobs, len(seeds))
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(fn, seeds))
+    return [fn(s) for s in seeds]
+
+
 def cross_validate(
     dataset: Dataset,
     model_kind: str,
@@ -117,8 +134,8 @@ def cross_validate(
     """Pick the grid cell with the best mean checkpoint metric over 5 folds.
 
     Divergent cells (non-finite training loss) score -inf and are never
-    selected. Ties break toward smaller learning rate, then larger L2
-    weight, then larger batch.
+    selected; RuntimeError if every cell diverges. Ties break toward smaller
+    learning rate, then larger L2 weight, then larger batch.
     """
     n = dataset.n_examples
     if n < N_FOLDS * 5:
@@ -170,6 +187,8 @@ def cross_validate(
         if best_key is None or key > best_key:
             best_key = key
             best_config = config
+    if best_key[0] == -math.inf:
+        raise RuntimeError("every grid cell diverged (non-finite training loss)")
     return best_config
 
 
@@ -242,6 +261,39 @@ def _delta(team: Metrics, baseline: Metrics) -> Metrics:
     )
 
 
+def train_reference(
+    fit: Dataset, val: Dataset, model_kind: str, config: TrainConfig, seed: int
+) -> TrainResult:
+    """Train a fresh model on log-loss, checkpointed on validation accuracy."""
+    return train(
+        init_model(model_kind, fit.n_features, seed=seed),
+        fit,
+        val,
+        LossSpec(kind="log_loss"),
+        replace(config, checkpoint_metric="accuracy", seed=seed),
+    )
+
+
+def reference_seed(
+    seed: int, dataset: Dataset, model_kind: str, policy: HumanPolicy, config: TrainConfig
+) -> tuple[Model, Metrics]:
+    """One seed's log-loss reference and its test metrics, without team training."""
+    _, fit, val, test, baseline_seed, _ = seed_splits(dataset, seed)
+    model = train_reference(fit, val, model_kind, config, baseline_seed).best_model
+    return model, evaluate(model, test, policy)
+
+
+def mismatch_seed(
+    seed: int, dataset: Dataset, policy: HumanPolicy, config: TrainConfig, grid: LinearGrid
+) -> tuple[Metrics, Metrics, Metrics]:
+    """Test metrics of one seed's linear reference and of both exhaustive
+    searches (expected, then empirical utility) on its training portion."""
+    train80, fit, val, test, baseline_seed, _ = seed_splits(dataset, seed)
+    reference = train_reference(fit, val, "linear", config, baseline_seed).best_model
+    searched = [exhaustive_search(train80, obj, policy, grid) for obj in OBJECTIVES]
+    return tuple(evaluate(model, test, policy) for model in (reference, *searched))
+
+
 def train_pair(
     dataset: Dataset,
     model_kind: str,
@@ -261,12 +313,8 @@ def train_pair(
     _, fit, val, test, baseline_seed, team_seed = seed_splits(dataset, seed)
 
     if baseline_model is None:
-        baseline_result = train(
-            init_model(model_kind, dataset.n_features, seed=baseline_seed),
-            fit,
-            val,
-            LossSpec(kind="log_loss", policy=policy),
-            replace(baseline_config, checkpoint_metric="accuracy", seed=baseline_seed),
+        baseline_result = train_reference(
+            fit, val, model_kind, baseline_config, baseline_seed
         )
         baseline_model = baseline_result.best_model
     else:
@@ -290,25 +338,10 @@ def train_pair(
 
 
 def _seed_outcome(
-    seed: int,
-    dataset: Dataset,
-    model_kind: str,
-    policy: HumanPolicy,
-    baseline_config: TrainConfig,
-    team_config: TrainConfig,
-    team_loss_kind: str,
-    baseline_model: Model | None,
+    seed: int, policy: HumanPolicy, **pair_args
 ) -> tuple[SeedOutcome, tuple[Model, Model]]:
-    baseline, team, _, team_result, test = train_pair(
-        dataset,
-        model_kind,
-        policy,
-        seed,
-        baseline_config,
-        team_config,
-        team_loss_kind,
-        baseline_model,
-    )
+    """``train_pair`` on one seed, scored on its test split."""
+    baseline, team, _, team_result, test = train_pair(seed=seed, policy=policy, **pair_args)
     baseline_metrics = evaluate(baseline, test, policy)
     team_metrics = evaluate(team, test, policy)
     outcome = SeedOutcome(
@@ -380,12 +413,7 @@ def run_experiment(
         team_loss_kind=team_loss_kind,
         baseline_model=baseline_model,
     )
-    seeds = [seed + s for s in range(n_seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, seeds))
-    else:
-        results = [run_one(s) for s in seeds]
+    results = fan_out(run_one, [seed + s for s in range(n_seeds)], jobs)
     outcomes = [outcome for outcome, _ in results]
     models = [pair for _, pair in results]
     mean_baseline = _mean_metrics([o.baseline for o in outcomes])

@@ -32,7 +32,7 @@ __all__ = [
     "empirical_utility",
     "predicted_labels",
     "confidences",
-    "accept_probabilities",
+    "utilities",
     "expected_utilities",
     "empirical_utilities",
 ]
@@ -239,30 +239,47 @@ def confidences(prob1) -> np.ndarray:
     return np.maximum(p, 1.0 - p)
 
 
-def accept_probabilities(prob1, policy: HumanPolicy) -> np.ndarray:
-    accept = confidences(prob1) >= policy.accept_threshold
-    return np.where(accept, policy.accept_probability, 0.0)
-
-
 def true_label_probs(prob1, labels) -> np.ndarray:
     p = np.asarray(prob1, dtype=np.float64)
     y = np.asarray(labels)
     return np.where(y == 1, p, 1.0 - p)
 
 
+def utilities(
+    prob1, labels, policy: HumanPolicy, objective: str = "expected_utility"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example accept probability and team utility; the vectorized kernel.
+
+    The overseer accepts, with the policy's accept probability, wherever the
+    confidence is >= the threshold. The accept branch pays (1+beta)*h[y] - beta
+    for ``expected_utility`` or the discrete payoff 1 / -beta of the argmax
+    label for ``empirical_utility`` (expectation mode); the solve branch pays
+    the solve utility. Matches ``expected_utility`` / ``empirical_utility``
+    example by example.
+    """
+    params = policy.params
+    # confidences() and true_label_probs() inlined to share 1-p: the kernel
+    # runs once per mini-batch and per exhaustive-search slab
+    p = np.asarray(prob1, dtype=np.float64)
+    q = 1.0 - p
+    positive = np.asarray(labels) == 1
+    accept = np.maximum(p, q) >= params.accept_threshold
+    p_accept = np.where(accept, policy.accept_probability, 0.0)
+    if objective == "expected_utility":
+        accept_term = (1.0 + params.beta) * np.where(positive, p, q) - params.beta
+    elif objective == "empirical_utility":
+        # predicted_labels(p) == labels for 0/1 labels, without the int copy
+        accept_term = np.where((p > 0.5) == positive, 1.0, -params.beta)
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    return p_accept, p_accept * accept_term + (1.0 - p_accept) * params.solve_utility
+
+
 def expected_utilities(prob1, labels, policy: HumanPolicy) -> np.ndarray:
     """Vectorized expected team utility; see ``expected_utility``."""
-    params = policy.params
-    h_true = true_label_probs(prob1, labels)
-    p_accept = accept_probabilities(prob1, policy)
-    accept_term = (1.0 + params.beta) * h_true - params.beta
-    return p_accept * accept_term + (1.0 - p_accept) * params.solve_utility
+    return utilities(prob1, labels, policy, "expected_utility")[1]
 
 
 def empirical_utilities(prob1, labels, policy: HumanPolicy) -> np.ndarray:
     """Vectorized expectation-mode empirical utility; see ``empirical_utility``."""
-    params = policy.params
-    correct = predicted_labels(prob1) == np.asarray(labels)
-    p_accept = accept_probabilities(prob1, policy)
-    accept_payoff = np.where(correct, 1.0, -params.beta)
-    return p_accept * accept_payoff + (1.0 - p_accept) * params.solve_utility
+    return utilities(prob1, labels, policy, "empirical_utility")[1]

@@ -1,9 +1,12 @@
-"""Shared test utilities: random models and the finite-difference gradient oracle."""
+"""Shared test utilities: random models, the finite-difference gradient
+oracle, and hypothesis strategies for policies and model outputs."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from teamopt.classifiers import init_model
 from teamopt.losses import batch_loss
+from teamopt.team_model import HumanPolicy, UtilityParams
 
 
 def random_model(kind, n_features, seed, scale=0.8):
@@ -42,3 +45,37 @@ def max_relative_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def unchecked_params(beta, lam, human_accuracy):
+    """UtilityParams built without validation, so human accuracy may exceed 1
+    and lift the threshold above 1 (never accept), which UtilityParams rejects."""
+    params = object.__new__(UtilityParams)
+    for name, value in (("beta", beta), ("lam", lam), ("human_accuracy", human_accuracy)):
+        object.__setattr__(params, name, value)
+    return params
+
+
+@st.composite
+def policies(draw):
+    """Policies spanning partial compliance (p < 1), thresholds c <= 0.5
+    (always accept), c in (0.5, 1] and, via unchecked parameters, c > 1."""
+    beta = draw(st.floats(1.0, 10.0))
+    lam = draw(st.floats(0.0, 5.0))
+    p = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        return HumanPolicy(UtilityParams(beta, lam, draw(st.floats(0.0, 1.0))), p)
+    # threshold a - lam/(1+beta) lands in (1, 1.5]
+    a = 1.0 + lam / (1.0 + beta) + draw(st.floats(1e-6, 0.5))
+    return HumanPolicy(unchecked_params(beta, lam, a), p)
+
+
+@st.composite
+def outputs(draw, policy, max_size=20):
+    """(prob1, labels) arrays, with probabilities on the threshold included."""
+    c = min(max(policy.accept_threshold, 0.0), 1.0)
+    prob = st.floats(0.0, 1.0) | st.sampled_from([c, 1.0 - c, 0.5, 0.0, 1.0])
+    n = draw(st.integers(1, max_size))
+    prob1 = draw(st.lists(prob, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(prob1), np.array(labels)

@@ -176,6 +176,49 @@ class TestSerialization:
         for name, p in model.parameters().items():
             assert np.array_equal(p, loaded.parameters()[name])
 
+    def test_seed_format_file_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"kind": "linear", "n_features": 2, "weights": [0.5, -1.25], "bias": [0.1]}\n')
+        model = load_model(path)
+        assert model.weights.tolist() == [0.5, -1.25]
+        assert model.bias.tolist() == [0.1]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"kind": None}, "missing key 'kind'"),
+            ({"n_features": None}, "missing key 'n_features'"),
+            ({"bias": None}, "missing key 'bias'"),
+            ({"extra": [1.0]}, "unknown key 'extra'"),
+            ({"kind": "svm"}, "unknown model kind 'svm'"),
+            ({"n_features": 2.5}, "n_features must be an integer"),
+            ({"weights": [1.0, 2.0, 3.0]}, "'weights' has shape (3,), expected 2 values"),
+            ({"weights": [[1.0, 2.0]]}, "'weights' has shape (1, 2), expected 2 values"),
+            ({"weights": ["a", "b"]}, "'weights' is not a numeric array"),
+            ({"weights": [1.0, float("nan")]}, "'weights' holds non-finite values"),
+            ({"bias": [float("inf")]}, "'bias' holds non-finite values"),
+        ],
+    )
+    def test_invalid_model_rejected(self, change, message):
+        data = {"kind": "linear", "n_features": 2, "weights": [1.0, 2.0], "bias": [0.0]}
+        data.update(change)
+        data = {k: v for k, v in data.items() if v is not None}
+        with pytest.raises(ValueError) as exc:
+            model_from_dict(data)
+        assert message in str(exc.value)
+
+    def test_mlp_wrong_layer_shape_rejected(self):
+        data = model_to_dict(init_model("mlp", 3))
+        data["w2"] = data["w2"][:-1]
+        with pytest.raises(ValueError, match="'w2' has shape"):
+            model_from_dict(data)
+
+    def test_load_error_names_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match="bad.json: model must be a JSON object"):
+            load_model(path)
+
     def test_dict_shape(self):
         model = init_model("linear", 2)
         data = model_to_dict(model)

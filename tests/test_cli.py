@@ -127,6 +127,39 @@ class TestTrain:
         assert (serial / "report.json").read_bytes() == (parallel / "report.json").read_bytes()
 
 
+    def test_log_loss_parallel_jobs_reproduce_serial(self, moons_csv, tmp_path):
+        args = [
+            "train", "--data", str(moons_csv), "--loss", "log", "--model", "mlp",
+            "--seeds", "2", "--epochs", "4",
+        ]
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert run(args + ["--out", str(serial)]) == 0
+        assert run(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        assert (serial / "report.json").read_bytes() == (parallel / "report.json").read_bytes()
+        for s in range(2):
+            name = f"models/baseline_seed{s}.json"
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+    def test_log_loss_rejects_warm_start_path(self, moons_csv, tmp_path, capsys):
+        first = tmp_path / "first"
+        run(
+            [
+                "train", "--data", str(moons_csv), "--loss", "log", "--seeds", "1",
+                "--epochs", "2", "--out", str(first),
+            ]
+        )
+        code = run(
+            [
+                "train", "--data", str(moons_csv), "--loss", "log", "--seeds", "1",
+                "--warm-start", str(first / "models" / "baseline_seed0.json"),
+                "--out", str(tmp_path / "again"),
+            ]
+        )
+        assert code == 1
+        assert "error: --warm-start" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
+
 class TestConfigFile:
     def test_flags_override_file(self, moons_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -190,6 +223,29 @@ class TestEvalAnalyze:
         diff = json.loads((analyze_out / "diff.json").read_text())
         assert "d_expected_utility" in diff
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda m: m.pop("bias"), "missing key 'bias'"),
+            (lambda m: m["weights"].__setitem__(0, float("nan")), "non-finite"),
+        ],
+    )
+    def test_corrupt_model_file_is_error(self, moons_csv, tmp_path, capsys, corrupt, message):
+        model = {"kind": "linear", "n_features": 2, "weights": [1.0, -0.5], "bias": [0.2]}
+        corrupt(model)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code = run(
+            [
+                "eval", "--data", str(moons_csv), "--model-file", str(path),
+                "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
 
 class TestExhaustiveAndSweep:
     def test_exhaustive_outputs(self, tmp_path):
@@ -209,6 +265,19 @@ class TestExhaustiveAndSweep:
         assert len(lines) == 2
         per_seed = (out / "mismatch_per_seed.csv").read_text().strip().splitlines()
         assert len(per_seed) == 2
+
+    def test_exhaustive_parallel_jobs_reproduce_serial(self, tmp_path):
+        data_path = tmp_path / "s1.csv"
+        run(["gen-data", "--kind", "scenario1", "--n", "600", "--seed", "2", "--out", str(data_path)])
+        args = [
+            "exhaustive", "--data", str(data_path), "--seeds", "2", "--angles", "8",
+            "--offsets", "9", "--sharpness", "1,4", "--epochs", "4",
+        ]
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert run(args + ["--out", str(serial)]) == 0
+        assert run(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        for name in ("mismatch.csv", "mismatch_per_seed.csv"):
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
     def test_sweep_outputs(self, moons_csv, tmp_path):
         out = tmp_path / "sweep"

@@ -2,15 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import finite_difference_gradients, max_relative_error, random_model
+from helpers import (
+    finite_difference_gradients,
+    max_relative_error,
+    outputs,
+    policies,
+    random_model,
+)
 from teamopt.classifiers import forward, init_model
-from teamopt.losses import LossSpec, batch_loss, eu_loss, log_loss, team_loss
+from teamopt.losses import LossSpec, batch_loss, per_example_loss
 from teamopt.team_model import (
     HumanPolicy,
     Prediction,
     UtilityParams,
     expected_utility,
+    utilities,
 )
 
 
@@ -22,18 +31,37 @@ def pred_true_prob(h):
     return Prediction.from_probs([1.0 - h, h])
 
 
+def loss_at(h, spec):
+    """(value, derivative) of ``per_example_loss`` for one label-1 example
+    whose true-label probability is h; the derivative with respect to prob1
+    is then the derivative with respect to h."""
+    values, grads = per_example_loss(np.array([h]), np.array([1]), spec)
+    return float(values[0]), float(grads[0])
+
+
+LOG = LossSpec("log_loss")
+
+
+def eu(pol):
+    return LossSpec("expected_utility_loss", pol)
+
+
+def team(pol, offset=None):
+    return LossSpec("team_loss", pol, team_offset=offset)
+
+
 class TestLogLoss:
     def test_reference_values(self):
-        assert log_loss(pred_true_prob(1.0), 1)[0] == 0.0
-        assert log_loss(pred_true_prob(0.5), 1)[0] == pytest.approx(np.log(2.0), abs=1e-12)
-        assert log_loss(pred_true_prob(0.25), 1)[0] == pytest.approx(np.log(4.0), abs=1e-12)
+        assert loss_at(1.0, LOG)[0] == 0.0
+        assert loss_at(0.5, LOG)[0] == pytest.approx(np.log(2.0), abs=1e-12)
+        assert loss_at(0.25, LOG)[0] == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_derivative(self):
-        value, grad = log_loss(pred_true_prob(0.25), 1)
+        value, grad = loss_at(0.25, LOG)
         assert grad == -4.0
 
     def test_floor_keeps_value_finite(self):
-        value, grad = log_loss(pred_true_prob(0.0), 1)
+        value, grad = loss_at(0.0, LOG)
         assert np.isfinite(value) and np.isfinite(grad)
         assert value == pytest.approx(-np.log(1e-12))
 
@@ -41,23 +69,22 @@ class TestLogLoss:
 class TestEuLoss:
     def test_accept_region_values(self):
         pol = policy()
-        assert eu_loss(pred_true_prob(1.0), 1, pol)[0] == -1.0
+        assert loss_at(1.0, eu(pol))[0] == -1.0
         # gradient is -(1+beta) everywhere in the accept branch
-        assert eu_loss(pred_true_prob(0.8), 1, pol)[1] == -2.0
-        assert eu_loss(pred_true_prob(0.99), 1, pol)[1] == -2.0
+        assert loss_at(0.8, eu(pol))[1] == -2.0
+        assert loss_at(0.99, eu(pol))[1] == -2.0
 
     def test_solve_region_flat(self):
-        value, grad = eu_loss(pred_true_prob(0.6), 1, policy())
+        value, grad = loss_at(0.6, eu(policy()))
         assert value == -0.5
         assert grad == 0.0
 
     def test_negates_expected_utility_exactly(self):
         pol = policy(beta=2.5, lam=0.7, a=0.9, p=0.6)
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            h = float(rng.random())
-            pred = pred_true_prob(h)
-            assert eu_loss(pred, 1, pol)[0] == -expected_utility(pred, 1, pol)
+        hs = np.random.default_rng(4).random(200)
+        values, _ = per_example_loss(hs, np.ones(200, dtype=int), eu(pol))
+        for h, value in zip(hs, values):
+            assert value == -expected_utility(pred_true_prob(h), 1, pol)
 
 
 class TestTeamLoss:
@@ -65,21 +92,20 @@ class TestTeamLoss:
     def test_accept_branch_is_shifted_log_loss(self, beta):
         pol = policy(beta=beta)
         shift = np.log(1.0 + beta)
-        low = pol.accept_threshold + 1e-6
-        for h in np.linspace(low, 1.0, 100):
-            pred = pred_true_prob(h)
-            tv, _ = team_loss(pred, 1, pol, team_offset=beta)
-            lv, _ = log_loss(pred, 1)
-            assert tv - lv == pytest.approx(-shift, abs=1e-12)
+        hs = np.linspace(pol.accept_threshold + 1e-6, 1.0, 100)
+        y = np.ones(100, dtype=int)
+        tv, _ = per_example_loss(hs, y, team(pol, offset=beta))
+        lv, _ = per_example_loss(hs, y, LOG)
+        np.testing.assert_allclose(tv - lv, -shift, rtol=0.0, atol=1e-12)
 
     def test_solve_branch_flat(self):
-        value, grad = team_loss(pred_true_prob(0.6), 1, policy())
+        value, grad = loss_at(0.6, team(policy()))
         assert grad == 0.0
         # constant equals -log(solve utility + offset)
         assert value == pytest.approx(-np.log(0.5 + 1.0), abs=1e-12)
 
     def test_reference_value(self):
-        value, _ = team_loss(pred_true_prob(1.0), 1, policy(), team_offset=1.0)
+        value, _ = loss_at(1.0, team(policy(), offset=1.0))
         assert value == pytest.approx(-np.log(2.0), abs=1e-12)
 
     def test_default_offset_is_beta(self):
@@ -87,6 +113,21 @@ class TestTeamLoss:
         assert spec.offset == 4.0
         spec = LossSpec("team_loss", policy(beta=4.0), team_offset=0.5)
         assert spec.offset == 0.5
+
+
+class TestPerExampleLoss:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        pol=policies(),
+        kind=st.sampled_from(["expected_utility_loss", "team_loss"]),
+    )
+    def test_gradient_zero_exactly_where_solving(self, data, pol, kind):
+        p1, y = data.draw(outputs(pol))
+        p_accept, _ = utilities(p1, y, pol)
+        values, grads = per_example_loss(p1, y, LossSpec(kind, pol))
+        assert np.all(np.isfinite(values))
+        assert np.all((grads == 0.0) == (p_accept == 0.0))
 
 
 class TestLossSpec:
@@ -110,10 +151,8 @@ class TestBatchLoss:
     def test_single_example_matches_per_example_plus_l2(self):
         model = random_model("linear", 2, seed=2)
         x = np.array([0.3, -1.1])
-        pred = forward(model, x)
-        expected_value = log_loss(pred, 1)[0] + 0.01 * float(
-            np.sum(model.weights**2)
-        )
+        h = float(forward(model, x).probs[1])
+        expected_value = -np.log(h) + 0.01 * float(np.sum(model.weights**2))
         value, _ = batch_loss(model, x[None, :], np.array([1]), LossSpec("log_loss"), 0.01)
         assert value == pytest.approx(expected_value, rel=1e-12)
 

@@ -65,6 +65,15 @@ class TestCrossValidate:
         )
         assert config.learning_rate == 0.05
 
+    def test_every_cell_diverging_raises(self):
+        ds = gen_moons(300, seed=1)
+        grid = GridSpec((1e300,), (1e-3,), (32,), (0.1,), (5,))
+        with pytest.raises(RuntimeError, match="every grid cell diverged"):
+            cross_validate(
+                ds, "linear", LossSpec("log_loss"), grid,
+                base_config=TrainConfig(max_epochs=5),
+            )
+
     def test_moons_selected_config_scores_well(self):
         ds = gen_moons(2000, seed=2)
         grid = GridSpec((0.01, 0.1), (1e-3,), (32,), (0.1,), (5,))

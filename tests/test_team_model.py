@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import outputs, policies
 from teamopt.team_model import (
     HumanPolicy,
     MetaDecision,
@@ -14,6 +17,7 @@ from teamopt.team_model import (
     expected_utility,
     meta_decision,
     payoff,
+    utilities,
 )
 
 
@@ -219,3 +223,26 @@ class TestEmpiricalUtility:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             empirical_utility(pred_true_prob(0.9), 1, policy(), mode="monte")
+
+
+class TestUtilitiesKernel:
+    """The vectorized kernel against the scalar references, example by example."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), pol=policies())
+    def test_matches_scalar_references_exactly(self, data, pol):
+        p1, y = data.draw(outputs(pol))
+        p_accept, eu = utilities(p1, y, pol)
+        p_accept_emp, emp = utilities(p1, y, pol, "empirical_utility")
+        assert np.array_equal(p_accept, p_accept_emp)
+        for i in range(len(p1)):
+            pred = Prediction.from_positive_prob(float(p1[i]))
+            label = int(y[i])
+            accepted = meta_decision(pred, pol) is MetaDecision.ACCEPT
+            assert p_accept[i] == (pol.accept_probability if accepted else 0.0)
+            assert eu[i] == expected_utility(pred, label, pol)
+            assert emp[i] == empirical_utility(pred, label, pol)
+
+    def test_unknown_objective(self):
+        with pytest.raises(ValueError):
+            utilities(np.array([0.5]), np.array([1]), policy(), "accuracy")
