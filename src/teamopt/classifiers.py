@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .team_model import Prediction
+from .team_model import IN_PLACE_MIN_SIZE, Prediction
 
 __all__ = [
     "LinearModel",
@@ -46,15 +46,28 @@ HIDDEN1 = 50
 HIDDEN2 = 10
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (no overflow for any finite z)."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function (no overflow for any finite z).
+
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|) in
+    [0, 1]; the numerator max(e, [z >= 0]) is 1 or e without a masked
+    select. Given ``out``, a float64 array of z's shape, the result goes
+    there and z serves as scratch, so a float64 array z is overwritten:
+    the allocation-free form for callers that reuse both buffers.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # small inputs get a fresh array per step (in-place ufuncs cost about
+    # 1 us more on 1-element arrays), large ones two reused buffers
+    if out is not None:
+        e_out, p_out = z, out
+    elif z.size >= IN_PLACE_MIN_SIZE:
+        e_out, p_out = np.empty_like(z), np.empty_like(z)
+    else:
+        e_out = p_out = ...
+    numerator = np.greater_equal(z, 0.0, out=p_out)
+    e = np.exp(np.negative(np.abs(z, out=e_out), out=e_out), out=e_out)
+    numerator = np.maximum(numerator, e, out=p_out)
+    return np.divide(numerator, np.add(1.0, e, out=e_out), out=p_out)
 
 
 @dataclass

@@ -79,6 +79,13 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         merged.update(file_values)
     merged.update(given)
     merged["command"] = args.command
+    # counts that size a run, whether from a flag or from the config file
+    for key in ("seeds", "jobs"):
+        if key not in merged:
+            continue
+        value = merged[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
     return merged
 
 

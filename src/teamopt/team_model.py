@@ -225,8 +225,13 @@ def empirical_utility(
     return payoff(MetaDecision.SOLVE, human_correct, params)
 
 
+# Inputs of at least this many elements (256 KiB of float64, numpy's own
+# threshold for reusing temporaries in place) are scored in reused buffers.
+IN_PLACE_MIN_SIZE = 2**15
+
+
 # Array-valued counterparts. ``prob1`` is the probability of label 1 and may
-# have any shape; ``labels`` must broadcast against it.
+# have any shape; ``labels`` must broadcast to it.
 
 
 def predicted_labels(prob1) -> np.ndarray:
@@ -246,7 +251,11 @@ def true_label_probs(prob1, labels) -> np.ndarray:
 
 
 def utilities(
-    prob1, labels, policy: HumanPolicy, objective: str = "expected_utility"
+    prob1,
+    labels,
+    policy: HumanPolicy,
+    objective: str = "expected_utility",
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-example accept probability and team utility; the vectorized kernel.
 
@@ -256,23 +265,46 @@ def utilities(
     label for ``empirical_utility`` (expectation mode); the solve branch pays
     the solve utility. Matches ``expected_utility`` / ``empirical_utility``
     example by example.
+
+    Both results have the shape of ``prob1``. Like a numpy ufunc, the kernel
+    writes them into ``out=(p_accept, utility)`` when given, float64 arrays
+    of that shape, and returns those arrays.
     """
     params = policy.params
     # confidences() and true_label_probs() inlined to share 1-p: the kernel
-    # runs once per mini-batch and per exhaustive-search slab
+    # runs once per mini-batch and per exhaustive-search block
     p = np.asarray(prob1, dtype=np.float64)
-    q = 1.0 - p
-    positive = np.asarray(labels) == 1
-    accept = np.maximum(p, q) >= params.accept_threshold
-    p_accept = np.where(accept, policy.accept_probability, 0.0)
+    positive = np.equal(labels, 1)
+    if out is None and p.size >= IN_PLACE_MIN_SIZE:
+        out = (np.empty_like(p), np.empty_like(p))
+    # Without buffers every step writes a fresh array (out=... makes a ufunc
+    # return one even for 0-d inputs) and rebinds its name, so the array it
+    # replaces is freed at once: in-place ufuncs cost about 1 us more on
+    # 1-element arrays, while large inputs gain from reusing two buffers.
+    p_accept_out, utility_out = (..., ...) if out is None else out
+    u = np.subtract(1.0, p, out=utility_out)
+    accept = np.maximum(p, u, out=p_accept_out) >= params.accept_threshold
+    # accept*p is where(accept, p, 0.0) for the policy's p in (0, 1]
+    p_accept = np.multiply(accept, policy.accept_probability, out=p_accept_out)
     if objective == "expected_utility":
-        accept_term = (1.0 + params.beta) * np.where(positive, p, q) - params.beta
+        np.copyto(u, p, where=positive)  # h[y]: p where y = 1, 1 - p elsewhere
+        u = np.multiply(u, 1.0 + params.beta, out=utility_out)
+        u = np.subtract(u, params.beta, out=utility_out)
     elif objective == "empirical_utility":
         # predicted_labels(p) == labels for 0/1 labels, without the int copy
-        accept_term = np.where((p > 0.5) == positive, 1.0, -params.beta)
+        u = np.where((p > 0.5) == positive, 1.0, -params.beta)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    return p_accept, p_accept * accept_term + (1.0 - p_accept) * params.solve_utility
+    # p_accept*u + (1 - p_accept)*solve_utility. Given buffers, the solve
+    # term passes through the p_accept buffer, so that no temporary of the
+    # full size is allocated, and p_accept is written again after it.
+    u = np.multiply(p_accept, u, out=utility_out)
+    solve = np.subtract(1.0, p_accept, out=p_accept_out)
+    solve = np.multiply(solve, params.solve_utility, out=p_accept_out)
+    u = np.add(u, solve, out=utility_out)
+    if out is not None:
+        np.multiply(accept, policy.accept_probability, out=p_accept_out)
+    return p_accept, u
 
 
 def expected_utilities(prob1, labels, policy: HumanPolicy) -> np.ndarray:

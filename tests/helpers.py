@@ -1,12 +1,13 @@
 """Shared test utilities: random models, the finite-difference gradient
-oracle, and hypothesis strategies for policies and model outputs."""
+oracle, the dense exhaustive-search scorer, and hypothesis strategies for
+policies and model outputs."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from teamopt.classifiers import init_model
+from teamopt.classifiers import LOGIT_CLAMP, init_model, sigmoid
 from teamopt.losses import batch_loss
-from teamopt.team_model import HumanPolicy, UtilityParams
+from teamopt.team_model import HumanPolicy, UtilityParams, utilities
 
 
 def random_model(kind, n_features, seed, scale=0.8):
@@ -45,6 +46,26 @@ def max_relative_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def dense_score_grid(dataset, objective, policy, grid):
+    """Every exhaustive-search candidate's mean objective, shape (angles,
+    offsets, sharpness), from one dense (examples x offsets) slab per angle
+    and sharpness rung; the reference the search's scorers are tested
+    against."""
+    X = dataset.features
+    y = dataset.labels[:, None]
+    offsets = grid.offsets()
+    sharpness = np.asarray(grid.sharpness)
+    scores = np.empty((grid.n_angles, len(offsets), len(sharpness)))
+    for ai, angle in enumerate(grid.angles()):
+        direction = np.array([np.cos(angle), np.sin(angle)])
+        proj = X @ direction
+        for si, s in enumerate(sharpness):
+            z = s * (proj[:, None] - offsets[None, :])
+            prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+            scores[ai, :, si] = utilities(prob1, y, policy, objective)[1].mean(axis=0)
+    return scores
 
 
 def unchecked_params(beta, lam, human_accuracy):

@@ -13,6 +13,7 @@ from teamopt.classifiers import (
     model_from_dict,
     model_to_dict,
     save_model,
+    sigmoid,
 )
 
 
@@ -40,6 +41,44 @@ class TestInit:
             init_model("linear", 0)
         with pytest.raises(ValueError):
             init_model("tree", 2)
+
+
+def two_branch_sigmoid(z):
+    """The logistic function as 1/(1+e^-z) on z >= 0 and e^z/(1+e^z) below,
+    each branch evaluated on its own boolean-masked subset."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 500.0, -500.0, 745.0, -745.0]
+
+    def test_matches_two_branch_formula_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate(
+            [self.EDGES, rng.normal(0.0, 30.0, 500_000), rng.uniform(-800.0, 800.0, 500_000)]
+        )
+        got, want = sigmoid(z), two_branch_sigmoid(z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # small inputs take fresh arrays step by step, large ones two buffers
+        small = np.concatenate([sigmoid(c) for c in np.array_split(z[:20_000], 500)])
+        assert np.array_equal(small.view(np.int64), want[:20_000].view(np.int64))
+
+    def test_out_form_writes_into_out(self):
+        z = np.array(self.EDGES + [0.3, -2.5])
+        want = sigmoid(z)
+        buf = np.empty_like(z)
+        assert sigmoid(z.copy(), out=buf) is buf
+        assert np.array_equal(buf.view(np.int64), want.view(np.int64))
+
+    def test_zero_dimensional_input(self):
+        assert sigmoid(0.0) == 0.5
+        assert sigmoid(np.float64(-745.0)).shape == ()
 
 
 class TestForward:

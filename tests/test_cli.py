@@ -187,6 +187,42 @@ class TestConfigFile:
         assert code == 1
 
 
+class TestRunCounts:
+    """--seeds and --jobs must be integers >= 1, from flags or the config file."""
+
+    @pytest.mark.parametrize("command", ["train", "exhaustive", "sweep"])
+    @pytest.mark.parametrize("flag", ["--seeds", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_flag_below_one_is_error(self, moons_csv, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        code = run([command, "--data", str(moons_csv), flag, value, "--out", str(out)])
+        assert code == 1
+        assert f"error: {flag} must be an integer >= 1, got {int(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "exhaustive", "sweep"])
+    @pytest.mark.parametrize(
+        "key, value", [("seeds", 0), ("jobs", 0), ("seeds", 1.5), ("jobs", "2"), ("seeds", True)]
+    )
+    def test_config_value_is_checked(self, moons_csv, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        code = run([command, "--data", str(moons_csv), "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert f"error: --{key} must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_log_loss_train_with_zero_seeds_is_error(self, moons_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(
+            ["train", "--data", str(moons_csv), "--loss", "log", "--seeds", "0", "--out", str(out)]
+        )
+        assert code == 1
+        assert "error: --seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvalAnalyze:
     def test_eval_and_analyze(self, moons_csv, tmp_path):
         train_out = tmp_path / "run"

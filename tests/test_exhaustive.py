@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import dense_score_grid, policies, unchecked_params
 from teamopt.analysis import evaluate
 from teamopt.classifiers import LinearModel, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
 from teamopt.exhaustive import (
+    BLOCK_ROWS,
     LinearGrid,
+    _score_grid,
     exhaustive_search,
     mismatch_columns,
     mutual_information,
@@ -216,3 +221,87 @@ class TestMismatchTable:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "dataset,eu_logloss,emp_logloss,delta_eu_a,delta_emp_b,delta_emp_c"
         assert lines[1].startswith("toy,0.5,0.6,")
+
+
+@st.composite
+def search_problems(draw):
+    """(dataset, grid) pairs for the scorer-versus-oracle tests.
+
+    Sizes include 1 and either side of the block size; features on a coarse
+    lattice repeat projection values. Grids keep >= 2 offsets: with a single
+    offset the dense oracle's slab is one column, which numpy sums pairwise
+    instead of in row order.
+    """
+    n = draw(
+        st.sampled_from([1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 37])
+        | st.integers(1, 3 * BLOCK_ROWS)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        features = rng.integers(-4, 5, size=(n, 2)) * 0.5
+    else:
+        features = rng.normal(size=(n, 2)) * draw(st.sampled_from([0.5, 1.0, 3.0]))
+    dataset = Dataset(
+        features=features,
+        labels=rng.integers(0, 2, n).astype(np.int64),
+        feature_names=("x1", "x2"),
+    )
+    grid = LinearGrid(
+        n_angles=draw(st.integers(1, 4)),
+        n_offsets=draw(st.integers(2, 7)),
+        offset_range=draw(st.sampled_from([(-3.0, 3.0), (-1.0, 2.0), (-0.5, 0.5)])),
+        sharpness=tuple(
+            draw(st.lists(st.sampled_from([0.25, 1.0, 2.0, 16.0, 300.0]), min_size=1, max_size=3))
+        ),
+    )
+    return dataset, grid
+
+
+@st.composite
+def dyadic_policies(draw):
+    """Policies whose payoffs are dyadic rationals, so that every sum of
+    them is exact; thresholds span c <= 0.5, c in (0.5, 1] and c > 1."""
+    beta = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    lam = draw(st.sampled_from([0.25, 0.5]))
+    a = draw(st.sampled_from([0.75, 1.0, 1.25]))
+    params = unchecked_params(beta, lam, a) if a > 1.0 else UtilityParams(beta, lam, a)
+    return HumanPolicy(params, draw(st.sampled_from([0.5, 1.0])))
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestScoreGridOracle:
+    """The search's scorers against the dense per-angle evaluation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=search_problems(), pol=policies())
+    def test_expected_utility_is_bit_identical(self, problem, pol):
+        dataset, grid = problem
+        assert_bitwise_equal(
+            _score_grid(dataset, "expected_utility", pol, grid),
+            dense_score_grid(dataset, "expected_utility", pol, grid),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=search_problems(), pol=dyadic_policies())
+    def test_empirical_utility_is_bit_identical_for_dyadic_payoffs(self, problem, pol):
+        dataset, grid = problem
+        assert_bitwise_equal(
+            _score_grid(dataset, "empirical_utility", pol, grid),
+            dense_score_grid(dataset, "empirical_utility", pol, grid),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=search_problems(), pol=policies())
+    def test_empirical_utility_matches_within_rounding(self, problem, pol):
+        dataset, grid = problem
+        got = _score_grid(dataset, "empirical_utility", pol, grid)
+        want = dense_score_grid(dataset, "empirical_utility", pol, grid)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # each side's argmax is a maximum of the other within that rounding;
+        # candidates with equal counts tie exactly in the count-based scores
+        assert want.flat[np.argmax(got)] >= want.max() - 1e-12
+        assert got.flat[np.argmax(want)] >= got.max() - 1e-12

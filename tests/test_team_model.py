@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import outputs, policies
+from teamopt.exhaustive import OBJECTIVES
 from teamopt.team_model import (
     HumanPolicy,
     MetaDecision,
@@ -242,6 +243,32 @@ class TestUtilitiesKernel:
             assert p_accept[i] == (pol.accept_probability if accepted else 0.0)
             assert eu[i] == expected_utility(pred, label, pol)
             assert emp[i] == empirical_utility(pred, label, pol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), pol=policies(), objective=st.sampled_from(OBJECTIVES))
+    def test_out_buffers_receive_the_allocating_result(self, data, pol, objective):
+        p1, y = data.draw(outputs(pol))
+        want = utilities(p1, y, pol, objective)
+        bufs = (np.full_like(p1, np.nan), np.full_like(p1, np.nan))
+        got = utilities(p1, y, pol, objective, out=bufs)
+        assert got[0] is bufs[0] and got[1] is bufs[1]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_large_inputs_match_small_ones(self, objective):
+        # large inputs are scored in two reused buffers, small ones step by
+        # step in fresh arrays; the values must not depend on the size
+        rng = np.random.default_rng(5)
+        n = 3 * 2**15 + 7
+        p1 = np.concatenate([[0.0, 1.0, 0.5, 0.6, 0.4], rng.random(n - 5)])
+        y = rng.integers(0, 2, n)
+        pol = policy(beta=2.0, lam=0.3, a=0.85, p=0.8)
+        whole = utilities(p1, y, pol, objective)
+        pieces = [utilities(p1[i : i + 100], y[i : i + 100], pol, objective) for i in range(0, n, 100)]
+        for k in range(2):
+            want = np.concatenate([piece[k] for piece in pieces])
+            assert np.array_equal(whole[k].view(np.int64), want.view(np.int64))
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
