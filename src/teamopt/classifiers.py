@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .team_model import IN_PLACE_MIN_SIZE, Prediction
+from .team_model import Prediction
 
 __all__ = [
     "LinearModel",
@@ -56,14 +56,8 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     the allocation-free form for callers that reuse both buffers.
     """
     z = np.asarray(z, dtype=np.float64)
-    # small inputs get a fresh array per step (in-place ufuncs cost about
-    # 1 us more on 1-element arrays), large ones two reused buffers
-    if out is not None:
-        e_out, p_out = z, out
-    elif z.size >= IN_PLACE_MIN_SIZE:
-        e_out, p_out = np.empty_like(z), np.empty_like(z)
-    else:
-        e_out = p_out = ...
+    # without out, every step writes a fresh array (out=None)
+    e_out, p_out = (None, None) if out is None else (z, out)
     numerator = np.greater_equal(z, 0.0, out=p_out)
     e = np.exp(np.negative(np.abs(z, out=e_out), out=e_out), out=e_out)
     numerator = np.maximum(numerator, e, out=p_out)

@@ -225,11 +225,6 @@ def empirical_utility(
     return payoff(MetaDecision.SOLVE, human_correct, params)
 
 
-# Inputs of at least this many elements (256 KiB of float64, numpy's own
-# threshold for reusing temporaries in place) are scored in reused buffers.
-IN_PLACE_MIN_SIZE = 2**15
-
-
 # Array-valued counterparts. ``prob1`` is the probability of label 1 and may
 # have any shape; ``labels`` must broadcast to it.
 
@@ -275,19 +270,17 @@ def utilities(
     # runs once per mini-batch and per exhaustive-search block
     p = np.asarray(prob1, dtype=np.float64)
     positive = np.equal(labels, 1)
-    if out is None and p.size >= IN_PLACE_MIN_SIZE:
-        out = (np.empty_like(p), np.empty_like(p))
-    # Without buffers every step writes a fresh array (out=... makes a ufunc
-    # return one even for 0-d inputs) and rebinds its name, so the array it
-    # replaces is freed at once: in-place ufuncs cost about 1 us more on
-    # 1-element arrays, while large inputs gain from reusing two buffers.
-    p_accept_out, utility_out = (..., ...) if out is None else out
+    # without out, every step writes a fresh array (out=None)
+    p_accept_out, utility_out = (None, None) if out is None else out
     u = np.subtract(1.0, p, out=utility_out)
     accept = np.maximum(p, u, out=p_accept_out) >= params.accept_threshold
     # accept*p is where(accept, p, 0.0) for the policy's p in (0, 1]
     p_accept = np.multiply(accept, policy.accept_probability, out=p_accept_out)
     if objective == "expected_utility":
-        np.copyto(u, p, where=positive)  # h[y]: p where y = 1, 1 - p elsewhere
+        # h[y]: p where y = 1, 1 - p elsewhere; asarray because a 0-d p
+        # makes 1 - p a numpy scalar, which copyto cannot write into
+        u = np.asarray(u)
+        np.copyto(u, p, where=positive)
         u = np.multiply(u, 1.0 + params.beta, out=utility_out)
         u = np.subtract(u, params.beta, out=utility_out)
     elif objective == "empirical_utility":

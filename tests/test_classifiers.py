@@ -65,9 +65,6 @@ class TestSigmoid:
         )
         got, want = sigmoid(z), two_branch_sigmoid(z)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        # small inputs take fresh arrays step by step, large ones two buffers
-        small = np.concatenate([sigmoid(c) for c in np.array_split(z[:20_000], 500)])
-        assert np.array_equal(small.view(np.int64), want[:20_000].view(np.int64))
 
     def test_out_form_writes_into_out(self):
         z = np.array(self.EDGES + [0.3, -2.5])

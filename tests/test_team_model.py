@@ -256,19 +256,13 @@ class TestUtilitiesKernel:
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
-    def test_large_inputs_match_small_ones(self, objective):
-        # large inputs are scored in two reused buffers, small ones step by
-        # step in fresh arrays; the values must not depend on the size
-        rng = np.random.default_rng(5)
-        n = 3 * 2**15 + 7
-        p1 = np.concatenate([[0.0, 1.0, 0.5, 0.6, 0.4], rng.random(n - 5)])
-        y = rng.integers(0, 2, n)
+    def test_zero_dimensional_input(self, objective):
         pol = policy(beta=2.0, lam=0.3, a=0.85, p=0.8)
-        whole = utilities(p1, y, pol, objective)
-        pieces = [utilities(p1[i : i + 100], y[i : i + 100], pol, objective) for i in range(0, n, 100)]
-        for k in range(2):
-            want = np.concatenate([piece[k] for piece in pieces])
-            assert np.array_equal(whole[k].view(np.int64), want.view(np.int64))
+        for p1, y in [(0.9, 1), (0.9, 0), (0.6, 1), (0.2, 0)]:
+            p_accept, u = utilities(np.float64(p1), y, pol, objective)
+            want = utilities(np.array([p1]), np.array([y]), pol, objective)
+            assert np.shape(p_accept) == np.shape(u) == ()
+            assert (p_accept, u) == (want[0][0], want[1][0])
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
