@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -64,8 +64,49 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(numerator, np.add(1.0, e, out=e_out), out=p_out)
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive views of ``flat`` shaped like the arrays of ``like``, in order."""
+    views, offset = {}, 0
+    for name, p in like.items():
+        view = flat[offset : offset + p.size]
+        # reshape only matrices: it costs more than the slice on every step
+        views[name] = view.reshape(p.shape) if p.ndim > 1 else view
+        offset += p.size
+    return views
+
+
+def _pack(arrays: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copy arrays into one contiguous float64 buffer; returns it and its views."""
+    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+    flat = np.concatenate([a.ravel() for a in arrays.values()])
+    return flat, _views(flat, arrays)
+
+
+class _FlatParameters:
+    """Parameter fields as views of ``flat``, one float64 buffer in
+    ``parameters()`` order that an optimizer updates in one pass. The
+    constructor copies its arguments into it; pickle and deepcopy rebuild
+    through the constructor, which keeps the views attached to the buffer."""
+
+    def __post_init__(self) -> None:
+        self._bind(*_pack(self.parameters()))
+
+    def _bind(self, flat: np.ndarray, views: dict[str, np.ndarray]):
+        self.flat = flat
+        for name, view in views.items():
+            setattr(self, name, view)
+        return self
+
+    def copy(self):
+        flat = self.flat.copy()
+        return object.__new__(type(self))._bind(flat, _views(flat, self.parameters()))
+
+    def __reduce__(self):
+        return type(self), tuple(self.parameters().values())
+
+
 @dataclass
-class LinearModel:
+class LinearModel(_FlatParameters):
     weights: np.ndarray
     bias: np.ndarray  # shape (1,)
 
@@ -81,12 +122,9 @@ class LinearModel:
     def weight_names(self) -> tuple[str, ...]:
         return ("weights",)
 
-    def copy(self) -> "LinearModel":
-        return LinearModel(weights=self.weights.copy(), bias=self.bias.copy())
-
 
 @dataclass
-class MlpModel:
+class MlpModel(_FlatParameters):
     w1: np.ndarray  # (50, n)
     b1: np.ndarray  # (50,)
     w2: np.ndarray  # (10, 50)
@@ -113,31 +151,35 @@ class MlpModel:
     def weight_names(self) -> tuple[str, ...]:
         return ("w1", "w2", "w3")
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(**{k: v.copy() for k, v in self.parameters().items()})
-
 
 Model = Union[LinearModel, MlpModel]
 
 
 @dataclass
 class GradientBuffer:
-    """Per-parameter gradient accumulator, shape-congruent with its model."""
+    """Per-parameter gradients, laid out in one flat buffer like a model's.
+
+    ``data`` maps parameter names to views of ``flat``; a dict given without
+    ``flat`` is copied into a fresh buffer in its own key order.
+    """
 
     data: dict[str, np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.flat is None:
+            self.flat, self.data = _pack(self.data)
 
     @classmethod
     def zeros_like(cls, model: Model) -> "GradientBuffer":
-        return cls({k: np.zeros_like(v) for k, v in model.parameters().items()})
+        flat = np.zeros_like(model.flat)
+        return cls(_views(flat, model.parameters()), flat)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
 
     def items(self):
         return self.data.items()
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(g)) for g in self.data.values())
 
 
 @dataclass
@@ -194,9 +236,14 @@ def _check_batch(model: Model, features: np.ndarray) -> np.ndarray:
             f"feature width {X.shape[1]} does not match model "
             f"n_features {model.n_features}"
         )
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     return X
+
+
+def _clamp(z: np.ndarray) -> np.ndarray:
+    # np.clip's bits through two ufunc calls, without its Python-level dispatch
+    return np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP)
 
 
 def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
@@ -204,14 +251,14 @@ def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
     X = _check_batch(model, features)
     if model.kind == "linear":
         z = X @ model.weights + model.bias[0]
-        prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+        prob1 = sigmoid(_clamp(z))
         return prob1, ForwardCache(kind="linear", features=X, z=z, prob1=prob1)
     a1 = X @ model.w1.T + model.b1
     h1 = np.maximum(a1, 0.0)
     a2 = h1 @ model.w2.T + model.b2
     h2 = np.maximum(a2, 0.0)
     z = h2 @ model.w3 + model.b3[0]
-    prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+    prob1 = sigmoid(_clamp(z))
     return prob1, ForwardCache(
         kind="mlp", features=X, z=z, prob1=prob1, a1=a1, h1=h1, a2=a2, h2=h2
     )
@@ -245,22 +292,21 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> GradientBuffer
         )
     X = cache.features
     dz = g * cache.prob1 * (1.0 - cache.prob1)
+    flat = np.empty(model.flat.size)
+    out = _views(flat, model.parameters())
     if model.kind == "linear":
-        return GradientBuffer(
-            {"weights": X.T @ dz, "bias": np.array([dz.sum()])}
-        )
+        np.matmul(X.T, dz, out=out["weights"])
+        dz.sum(keepdims=True, out=out["bias"])
+        return GradientBuffer(out, flat)
     da2 = (dz[:, None] * model.w3[None, :]) * (cache.a2 > 0.0)
     da1 = (da2 @ model.w2) * (cache.a1 > 0.0)
-    return GradientBuffer(
-        {
-            "w1": da1.T @ X,
-            "b1": da1.sum(axis=0),
-            "w2": da2.T @ cache.h1,
-            "b2": da2.sum(axis=0),
-            "w3": cache.h2.T @ dz,
-            "b3": np.array([dz.sum()]),
-        }
-    )
+    np.matmul(da1.T, X, out=out["w1"])
+    da1.sum(axis=0, out=out["b1"])
+    np.matmul(da2.T, cache.h1, out=out["w2"])
+    da2.sum(axis=0, out=out["b2"])
+    np.matmul(cache.h2.T, dz, out=out["w3"])
+    dz.sum(keepdims=True, out=out["b3"])
+    return GradientBuffer(out, flat)
 
 
 def backward(

@@ -110,14 +110,13 @@ def batch_loss(
     values, d_p1 = per_example_loss(prob1, y, spec)
     n = X.shape[0]
     grads = backward_batch(model, cache, d_p1 / n)
-    value = float(np.mean(values))
+    value = float(values.sum() / n)  # np.mean's bits, without its dispatch
     if l2_weight > 0.0:
-        params = model.parameters()
         # overflow here just means divergence; the caller's finiteness check
         # turns it into an abort
         with np.errstate(over="ignore"):
             for name in model.weight_names():
-                w = params[name]
+                w = getattr(model, name)
                 value += l2_weight * float(np.sum(w * w))
                 grads.data[name] += 2.0 * l2_weight * w
     return value, grads

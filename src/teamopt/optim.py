@@ -44,18 +44,15 @@ CHECKPOINT_METRICS = ("accuracy", "expected_utility")
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus the step counter."""
+    """First/second moments laid out like ``model.flat``, plus the step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_model(cls, model: Model) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in model.parameters().items()},
-            v={k: np.zeros_like(p) for k, p in model.parameters().items()},
-        )
+        return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
 
 
 def adam_step(
@@ -64,28 +61,25 @@ def adam_step(
     state: AdamState,
     learning_rate: float,
 ) -> tuple[Model, AdamState]:
-    """One bias-corrected Adam update, in place; returns (model, state)."""
+    """One bias-corrected Adam update of the whole flat buffer, in place;
+    returns (model, state)."""
     params = model.parameters()
-    if set(grads.data) != set(params):
-        raise ValueError("gradient buffer does not match model parameters")
+    shapes = {k: p.shape for k, p in params.items()}
+    if {k: g.shape for k, g in grads.items()} != shapes:
+        raise ValueError(f"gradient buffer does not match model parameters {shapes}")
+    # a gradient dict given in another key order was packed in that order
+    same_order = list(grads.data) == list(params)
+    g = grads.flat if same_order else np.concatenate([grads[k].ravel() for k in params])
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name!r} shape {p.shape}"
-            )
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    model.flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return model, state
 
 
@@ -215,7 +209,7 @@ def train(
         )
     model = model.copy()
     X, y = train_set.features, train_set.labels
-    n = train_set.n_examples
+    n, bs = train_set.n_examples, config.batch_size
     adam = AdamState.for_model(model)
     sched = SchedulerState(
         learning_rate=config.learning_rate,
@@ -230,18 +224,20 @@ def train(
     rng = np.random.default_rng(config.seed)
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
+        # one gather per epoch; mini-batches are contiguous slices of it
+        X_epoch, y_epoch = X[perm], y[perm]
         lr = sched.learning_rate
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            value, grads = batch_loss(model, X[idx], y[idx], spec, config.l2_weight)
+        for start in range(0, n, bs):
+            X_batch, y_batch = X_epoch[start : start + bs], y_epoch[start : start + bs]
+            value, grads = batch_loss(model, X_batch, y_batch, spec, config.l2_weight)
             if not math.isfinite(value):
                 raise RuntimeError(
                     f"non-finite training loss {value!r} at epoch {epoch} "
                     f"(lr={lr}, batch starting at {start}); aborting"
                 )
             adam_step(model, grads, adam, lr)
-            total += value * idx.size
+            total += value * y_batch.size
         val = validation_metric(model, val_set, spec, config.checkpoint_metric)
         if val > best_metric:
             best_metric = val

@@ -1,12 +1,13 @@
 """Shared test utilities: random models, the finite-difference gradient
-oracle, the dense exhaustive-search scorer, and hypothesis strategies for
-policies and model outputs."""
+oracle, the per-array backward and Adam oracles, the dense exhaustive-search
+scorer, and hypothesis strategies for policies and model outputs."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from teamopt.classifiers import LOGIT_CLAMP, init_model, sigmoid
 from teamopt.losses import batch_loss
+from teamopt.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from teamopt.team_model import HumanPolicy, UtilityParams, utilities
 
 
@@ -46,6 +47,40 @@ def max_relative_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def per_array_backward(model, cache, d_prob1):
+    """backward_batch's gradients as separate arrays, one expression each;
+    the reference the gradients written into the flat buffer's views are
+    tested against."""
+    X = cache.features
+    dz = d_prob1 * cache.prob1 * (1.0 - cache.prob1)
+    if model.kind == "linear":
+        return {"weights": X.T @ dz, "bias": np.array([dz.sum()])}
+    da2 = (dz[:, None] * model.w3[None, :]) * (cache.a2 > 0.0)
+    da1 = (da2 @ model.w2) * (cache.a1 > 0.0)
+    return {
+        "w1": da1.T @ X,
+        "b1": da1.sum(axis=0),
+        "w2": da2.T @ cache.h1,
+        "b2": da2.sum(axis=0),
+        "w3": cache.h2.T @ dz,
+        "b3": np.array([dz.sum()]),
+    }
+
+
+def per_array_adam_step(params, grads, m, v, step, learning_rate):
+    """One Adam update looped over dicts of separate arrays, in place; the
+    reference the single pass over the flat buffer is tested against."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * g
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * (g * g)
+        p -= learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
 
 
 def dense_score_grid(dataset, objective, policy, grid):

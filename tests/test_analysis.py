@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_model
+from helpers import outputs, policies, random_model
 from teamopt.analysis import (
     behavior_curves,
     compare_reports,
@@ -21,7 +23,12 @@ from teamopt.data import Dataset, gen_scenario1
 from teamopt.losses import LossSpec, batch_loss
 from teamopt.optim import TrainConfig
 from teamopt.pipeline import train_pair
-from teamopt.team_model import HumanPolicy, UtilityParams
+from teamopt.team_model import (
+    HumanPolicy,
+    UtilityParams,
+    expected_utilities,
+    predicted_labels,
+)
 
 
 def policy(beta=1.0, lam=0.5, a=1.0, p=1.0):
@@ -100,6 +107,18 @@ class TestBehaviorCurves:
             assert abs(curves.accuracy_density.sum() - metrics.accuracy) < 1e-12
             assert abs(curves.utility_density.sum() - metrics.expected_utility) < 1e-12
             assert curves.confidence_hist.sum() == ds.n_examples
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), pol=policies(), n_bins=st.integers(2, 30))
+    def test_densities_sum_to_accuracy_and_expected_utility(self, data, pol, n_bins):
+        # any outputs and policy: p < 1, c <= 0.5 and c > 1 included
+        p1, y = data.draw(outputs(pol, max_size=60))
+        curves = curves_from_probs(p1, y, pol, n_bins)
+        accuracy = np.mean(predicted_labels(p1) == y)
+        expected_utility = np.mean(expected_utilities(p1, y, pol))
+        assert abs(curves.accuracy_density.sum() - accuracy) <= 1e-12
+        assert abs(curves.utility_density.sum() - expected_utility) <= 1e-12
+        assert curves.confidence_hist.sum() == len(p1)
 
     def test_reliability_range_and_empty_bins(self):
         rng = np.random.default_rng(4)

@@ -1,11 +1,19 @@
 """Model initialization, forward passes, analytic gradients, serialization."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_model
+from helpers import per_array_backward, random_model
 from teamopt.classifiers import (
+    GradientBuffer,
+    LinearModel,
     backward,
+    backward_batch,
     forward,
     forward_batch,
     init_model,
@@ -15,6 +23,10 @@ from teamopt.classifiers import (
     save_model,
     sigmoid,
 )
+from teamopt.data import gen_scenario1
+from teamopt.exhaustive import LinearGrid, exhaustive_search
+from teamopt.optim import AdamState, adam_step
+from teamopt.team_model import HumanPolicy, UtilityParams
 
 
 class TestInit:
@@ -190,6 +202,29 @@ class TestBackward:
             assert np.array_equal(g, cached[name])
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "mlp"]),
+        n_features=st.integers(1, 4),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_views_hold_the_per_array_gradients(self, kind, n_features, rows, seed):
+        model = random_model(kind, n_features, seed=seed)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, n_features))
+        # some rows on a zero-gradient plateau, as team losses produce
+        d_prob1 = rng.normal(size=rows) * (rng.random(rows) < 0.7)
+        _, cache = forward_batch(model, X)
+        grads = backward_batch(model, cache, d_prob1)
+        want = per_array_backward(model, cache, d_prob1)
+        assert list(grads.data) == list(want)
+        for name, w in want.items():
+            assert grads[name].shape == w.shape
+            assert np.array_equal(grads[name].view(np.int64), w.view(np.int64))
+            assert np.shares_memory(grads[name], grads.flat)
+
+
 class TestMonotonicity:
     def test_probability_increases_along_weight_direction(self):
         model = random_model("linear", 2, seed=3)
@@ -262,3 +297,68 @@ class TestSerialization:
         assert data["n_features"] == 2
         assert data["weights"] == [0.0, 0.0]
         assert data["bias"] == [0.0]
+
+
+def _exhaustive_model():
+    pol = HumanPolicy(UtilityParams(1.0, 0.5, 0.9))
+    grid = LinearGrid(n_angles=4, n_offsets=5)
+    return exhaustive_search(gen_scenario1(200, seed=0), "expected_utility", pol, grid)
+
+
+MAKERS = {
+    "init_linear": lambda: init_model("linear", 2),
+    "init_mlp": lambda: init_model("mlp", 2, seed=1),
+    "copy_linear": lambda: random_model("linear", 3, seed=2).copy(),
+    "copy_mlp": lambda: random_model("mlp", 3, seed=2).copy(),
+    "from_dict_linear": lambda: model_from_dict(model_to_dict(random_model("linear", 2, seed=3))),
+    "from_dict_mlp": lambda: model_from_dict(model_to_dict(random_model("mlp", 2, seed=3))),
+    "exhaustive": _exhaustive_model,
+}
+
+TRANSFERS = {
+    "as_made": lambda model: model,
+    "pickled": lambda model: pickle.loads(pickle.dumps(model)),
+    "deepcopied": copy.deepcopy,
+}
+
+
+class TestFlatBuffer:
+    """Every parameter is a view of model.flat, however the model was made or
+    moved, so an update of the buffer moves the named fields."""
+
+    @pytest.mark.parametrize("transfer", sorted(TRANSFERS))
+    @pytest.mark.parametrize("make", sorted(MAKERS))
+    def test_adam_step_moves_the_named_fields(self, make, transfer):
+        original = MAKERS[make]()
+        kept = original.copy()
+        model = TRANSFERS[transfer](original)
+        params = model.parameters()
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        assert model.flat.size == sum(p.size for p in params.values())
+        for name, p in params.items():
+            assert np.shares_memory(p, model.flat), name
+            assert np.array_equal(p, kept.parameters()[name])
+        first = model.weight_names()[0]
+        before = getattr(model, first).copy()
+        grads = GradientBuffer({k: np.ones_like(p) for k, p in params.items()})
+        adam_step(model, grads, AdamState.for_model(model), 0.1)
+        assert np.all(getattr(model, first) != before)
+        assert np.array_equal(
+            model.flat, np.concatenate([p.ravel() for p in model.parameters().values()])
+        )
+        if model is not original:
+            for name, p in original.parameters().items():
+                assert np.array_equal(p, kept.parameters()[name])
+
+    def test_constructor_copies_into_the_buffer(self):
+        weights, bias = np.array([1.0, 2.0]), np.array([3.0])
+        model = LinearModel(weights=weights, bias=bias)
+        model.weights[0] = 9.0
+        assert weights[0] == 1.0
+        assert model.flat.tolist() == [9.0, 2.0, 3.0]
+
+    def test_gradient_buffer_from_dict_keeps_its_order(self):
+        grads = GradientBuffer({"bias": np.array([1.0]), "weights": np.array([2.0, 3.0])})
+        assert grads.flat.tolist() == [1.0, 2.0, 3.0]
+        grads["weights"][0] = 7.0
+        assert grads.flat.tolist() == [1.0, 7.0, 3.0]

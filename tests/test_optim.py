@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_model
+from helpers import per_array_adam_step, random_model
 from teamopt.classifiers import GradientBuffer, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
 from teamopt.losses import LossSpec
@@ -73,6 +75,47 @@ class TestAdam:
         model = init_model("linear", 2)
         bad = GradientBuffer({"weights": np.zeros(3), "bias": np.zeros(1)})
         with pytest.raises(ValueError):
+            adam_step(model, bad, AdamState.for_model(model), 0.1)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["linear", "mlp"]),
+        n_features=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        steps=st.integers(1, 12),
+    )
+    def test_flat_update_matches_per_array_oracle(self, data, kind, n_features, seed, steps):
+        model = random_model(kind, n_features, seed=seed)
+        params = {k: p.copy() for k, p in model.parameters().items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        state = AdamState.for_model(model)
+        rng = np.random.default_rng(seed)
+        for step in range(1, steps + 1):
+            lr = data.draw(st.floats(1e-8, 1.0))
+            scale = 10.0 ** rng.uniform(-8.0, 3.0)
+            # exact zeros included, as on the team losses' solve plateau
+            grads = {
+                k: rng.normal(0.0, scale, p.shape) * (rng.random(p.shape) < 0.8)
+                for k, p in params.items()
+            }
+            if data.draw(st.booleans()):
+                grads = dict(reversed(grads.items()))
+            adam_step(model, GradientBuffer(grads), state, lr)
+            per_array_adam_step(params, grads, m, v, step, lr)
+        assert state.step == steps
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.view(np.int64), params[name].view(np.int64)), name
+        for flat, per_array in ((state.m, m), (state.v, v)):
+            want = np.concatenate([a.ravel() for a in per_array.values()])
+            assert np.array_equal(flat.view(np.int64), want.view(np.int64))
+
+    def test_unknown_gradient_name_rejected(self):
+        model = init_model("linear", 2)
+        bad = GradientBuffer({"weights": np.zeros(2), "b": np.zeros(1)})
+        with pytest.raises(ValueError, match="does not match model parameters"):
             adam_step(model, bad, AdamState.for_model(model), 0.1)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import outputs, policies
@@ -243,6 +243,30 @@ class TestUtilitiesKernel:
             assert p_accept[i] == (pol.accept_probability if accepted else 0.0)
             assert eu[i] == expected_utility(pred, label, pol)
             assert emp[i] == empirical_utility(pred, label, pol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        beta=st.floats(1.0, 10.0),
+        c=st.floats(0.5, 1.0),
+        slack=st.floats(0.0, 1.0),
+        p=st.floats(0.01, 1.0),
+        label=st.integers(0, 1),
+    )
+    def test_continuous_at_threshold(self, beta, c, slack, p, label):
+        # a in [c, 1] and lam chosen so that the threshold lands on c
+        a = c + slack * (1.0 - c)
+        params = UtilityParams(beta, (a - c) * (1.0 + beta), a)
+        pol = HumanPolicy(params, p)
+        c = params.accept_threshold
+        assume(0.5 <= c <= 1.0)
+        # the predicted label is the true one, with confidence exactly c
+        prob1 = c if label == 1 else 1.0 - c
+        assume(max(prob1, 1.0 - prob1) == c)
+        p_accept, eu = utilities(np.array([prob1]), np.array([label]), pol)
+        assert p_accept[0] == p
+        assert abs(eu[0] - params.solve_utility) <= 1e-12
+        scalar = expected_utility(pred_true_prob(c, label), label, pol)
+        assert abs(scalar - params.solve_utility) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), pol=policies(), objective=st.sampled_from(OBJECTIVES))
