@@ -64,42 +64,54 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(numerator, np.add(1.0, e, out=e_out), out=p_out)
 
 
-def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Consecutive views of ``flat`` shaped like the arrays of ``like``, in order."""
-    views, offset = {}, 0
-    for name, p in like.items():
-        view = flat[offset : offset + p.size]
+# Where each array sits in a flat buffer: (name, slice, shape), in order, with
+# shape None for vectors, which need no reshape.
+Layout = tuple[tuple[str, slice, tuple[int, ...] | None], ...]
+
+
+def _layout(arrays: dict[str, np.ndarray]) -> Layout:
+    """The layout of the arrays packed one after another."""
+    layout, offset = [], 0
+    for name, a in arrays.items():
+        layout.append((name, slice(offset, offset + a.size), a.shape if a.ndim > 1 else None))
+        offset += a.size
+    return tuple(layout)
+
+
+def _views(flat: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
+    """Views of ``flat`` at the places the layout gives."""
+    views = {}
+    for name, where, shape in layout:
         # reshape only matrices: it costs more than the slice on every step
-        views[name] = view.reshape(p.shape) if p.ndim > 1 else view
-        offset += p.size
+        views[name] = flat[where] if shape is None else flat[where].reshape(shape)
     return views
 
 
-def _pack(arrays: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Copy arrays into one contiguous float64 buffer; returns it and its views."""
+def _pack(arrays: dict) -> tuple[np.ndarray, Layout]:
+    """Copy arrays into one contiguous float64 buffer; returns it and its layout."""
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-    flat = np.concatenate([a.ravel() for a in arrays.values()])
-    return flat, _views(flat, arrays)
+    return np.concatenate([a.ravel() for a in arrays.values()]), _layout(arrays)
 
 
 class _FlatParameters:
     """Parameter fields as views of ``flat``, one float64 buffer in
-    ``parameters()`` order that an optimizer updates in one pass. The
-    constructor copies its arguments into it; pickle and deepcopy rebuild
-    through the constructor, which keeps the views attached to the buffer."""
+    ``parameters()`` order that an optimizer updates in one pass, placed by
+    ``layout``, which gradient buffers share. The constructor copies its
+    arguments into it; pickle and deepcopy rebuild through the constructor,
+    which keeps the views attached to the buffer."""
 
     def __post_init__(self) -> None:
         self._bind(*_pack(self.parameters()))
 
-    def _bind(self, flat: np.ndarray, views: dict[str, np.ndarray]):
+    def _bind(self, flat: np.ndarray, layout: Layout):
         self.flat = flat
-        for name, view in views.items():
+        self.layout = layout
+        for name, view in _views(flat, layout).items():
             setattr(self, name, view)
         return self
 
     def copy(self):
-        flat = self.flat.copy()
-        return object.__new__(type(self))._bind(flat, _views(flat, self.parameters()))
+        return object.__new__(type(self))._bind(self.flat.copy(), self.layout)
 
     def __reduce__(self):
         return type(self), tuple(self.parameters().values())
@@ -168,12 +180,13 @@ class GradientBuffer:
 
     def __post_init__(self) -> None:
         if self.flat is None:
-            self.flat, self.data = _pack(self.data)
+            self.flat, layout = _pack(self.data)
+            self.data = _views(self.flat, layout)
 
     @classmethod
     def zeros_like(cls, model: Model) -> "GradientBuffer":
         flat = np.zeros_like(model.flat)
-        return cls(_views(flat, model.parameters()), flat)
+        return cls(_views(flat, model.layout), flat)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -293,7 +306,7 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> GradientBuffer
     X = cache.features
     dz = g * cache.prob1 * (1.0 - cache.prob1)
     flat = np.empty(model.flat.size)
-    out = _views(flat, model.parameters())
+    out = _views(flat, model.layout)
     if model.kind == "linear":
         np.matmul(X.T, dz, out=out["weights"])
         dz.sum(keepdims=True, out=out["bias"])
@@ -384,11 +397,16 @@ def model_from_dict(data: dict) -> Model:
             value = np.asarray(data[name], dtype=np.float64)
         except (TypeError, ValueError):
             raise ValueError(f"model parameter {name!r} is not a numeric array") from None
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"model parameter {name!r} holds non-finite values") from None
         if value.shape != (math.prod(shape),):
             raise ValueError(
                 f"model parameter {name!r} has shape {value.shape}, expected "
                 f"{math.prod(shape)} values for shape {shape}"
             )
+        # numpy also converts numeric strings, booleans and null
+        if not all(type(v) in (int, float) for v in data[name]):
+            raise ValueError(f"model parameter {name!r} is not a numeric array")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"model parameter {name!r} holds non-finite values")
         arrays[name] = value.reshape(shape)

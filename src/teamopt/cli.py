@@ -26,6 +26,7 @@ LOSS_NAMES = {
     "eu": "expected_utility_loss",
     "team": "team_loss",
 }
+MODEL_KINDS = ("linear", "mlp")
 
 
 def _base_seed() -> int:
@@ -63,7 +64,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     merged = dict(defaults)
     config_path = given.pop("config", None)
     if config_path:
-        file_values = json.loads(Path(config_path).read_text())
+        try:
+            file_values = json.loads(Path(config_path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{config_path}: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValueError(f"{config_path}: config file must hold a JSON object")
         # a resolved config written by a previous run names its command
@@ -79,13 +83,17 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         merged.update(file_values)
     merged.update(given)
     merged["command"] = args.command
-    # counts that size a run, whether from a flag or from the config file
-    for key in ("seeds", "jobs"):
+    # integers that size or seed a run, whether from a flag or the config file
+    for key, low in (("seeds", 1), ("jobs", 1), ("bins", 2), ("seed", 0)):
         if key not in merged:
             continue
         value = merged[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"--{key} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"--{key} must be an integer >= {low}, got {value!r}")
+    # names that argparse checks, but a config file can still set
+    for key, names in (("model", MODEL_KINDS), ("loss", tuple(LOSS_NAMES))):
+        if key in merged and merged[key] not in names:
+            raise ValueError(f"--{key} must be one of {names}, got {merged[key]!r}")
     return merged
 
 
@@ -120,6 +128,17 @@ def _train_config(resolved: dict) -> TrainConfig:
         max_epochs=resolved["epochs"],
         seed=resolved["seed"],
     )
+
+
+def _load_model_for(path, dataset: data.Dataset):
+    """A model file that can score ``dataset``."""
+    model = load_model(path)
+    if model.n_features != dataset.n_features:
+        raise ValueError(
+            f"{path}: model takes {model.n_features} features, "
+            f"the data has {dataset.n_features}"
+        )
+    return model
 
 
 def _seeds(resolved: dict) -> list[int]:
@@ -161,12 +180,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     warm_start = resolved["warm_start"] != "auto"
     if warm_start and loss_kind == "log_loss":
         raise ValueError("--warm-start takes a model path only with --loss eu or team")
-    out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     policy = _policy(resolved)
     config = _train_config(resolved)
-    warm_model = load_model(resolved["warm_start"]) if warm_start else None
+    warm_model = _load_model_for(resolved["warm_start"], dataset) if warm_start else None
+    out_dir = Path(resolved["out"])
+    _write_resolved(out_dir, resolved)
 
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
@@ -221,13 +240,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "standardize": False, "label_column": "label", **_POLICY_DEFAULTS,
         },
     )
-    out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     if resolved["standardize"]:
         (dataset,) = data.standardize(dataset)
-    model = load_model(resolved["model_file"])
+    model = _load_model_for(resolved["model_file"], dataset)
     policy = _policy(resolved)
+    out_dir = Path(resolved["out"])
+    _write_resolved(out_dir, resolved)
     metrics = analysis.evaluate(model, dataset, policy)
     analysis.metrics_to_json(metrics, out_dir / "metrics.json")
     curves = analysis.behavior_curves(model, dataset, policy, n_bins=resolved["bins"])
@@ -249,8 +268,6 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
             **_POLICY_DEFAULTS, **_TRAIN_DEFAULTS,
         },
     )
-    out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     policy = _policy(resolved)
     config = _train_config(resolved)
@@ -261,6 +278,8 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     )
     top2 = exhaustive.select_top2_features(dataset)
     dataset2d = data.select_features(dataset, top2)
+    out_dir = Path(resolved["out"])
+    _write_resolved(out_dir, resolved)
 
     scored = pipeline.fan_out(
         partial(
@@ -294,15 +313,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "lam": 0.5, "label_column": "label", **_TRAIN_DEFAULTS,
         },
     )
-    out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     config = _train_config(resolved)
+    a_values = [float(v) for v in str(resolved["a"]).split(",")]
+    beta_values = [float(v) for v in str(resolved["beta"]).split(",")]
+    for a in a_values:  # each point's utility parameters, checked before any output
+        for beta in beta_values:
+            UtilityParams(beta=beta, lam=resolved["lam"], human_accuracy=a)
+    out_dir = Path(resolved["out"])
+    _write_resolved(out_dir, resolved)
     points = pipeline.sweep(
         dataset,
         resolved["model"],
-        a_values=[float(v) for v in str(resolved["a"]).split(",")],
-        beta_values=[float(v) for v in str(resolved["beta"]).split(",")],
+        a_values=a_values,
+        beta_values=beta_values,
         lam=resolved["lam"],
         n_seeds=resolved["seeds"],
         baseline_config=config,
@@ -328,18 +352,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "label_column": "label", **_POLICY_DEFAULTS,
         },
     )
-    out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     if resolved["standardize"]:
         (dataset,) = data.standardize(dataset)
+    baseline_model = _load_model_for(resolved["baseline_model"], dataset)
+    team_model = _load_model_for(resolved["team_model"], dataset)
     policy = _policy(resolved)
-    baseline = analysis.report(
-        load_model(resolved["baseline_model"]), dataset, policy, n_bins=resolved["bins"]
-    )
-    team = analysis.report(
-        load_model(resolved["team_model"]), dataset, policy, n_bins=resolved["bins"]
-    )
+    out_dir = Path(resolved["out"])
+    _write_resolved(out_dir, resolved)
+    baseline = analysis.report(baseline_model, dataset, policy, n_bins=resolved["bins"])
+    team = analysis.report(team_model, dataset, policy, n_bins=resolved["bins"])
     diff = analysis.compare_reports(baseline, team)
     analysis.metrics_to_json(baseline.metrics, out_dir / "baseline_metrics.json")
     analysis.metrics_to_json(team.metrics, out_dir / "team_metrics.json")
@@ -376,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the log-loss reference and a team model")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=("linear", "mlp"))
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--loss", choices=tuple(LOSS_NAMES))
     p.add_argument("--seeds", type=int)
     p.add_argument("--seed", type=int)
@@ -422,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sensitivity sweep over a and beta")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=("linear", "mlp"))
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--a")
     p.add_argument("--beta")
     p.add_argument("--lambda", type=float, dest="lam")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -192,48 +194,144 @@ def gen_moons(n: int, noise_std: float = 0.2, seed: int = 0) -> Dataset:
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
-    """Read a headered CSV with numeric features and a 0/1 label column."""
+    """Read a headered CSV with numeric features and a 0/1 label column.
+
+    The body is parsed in one ``np.loadtxt`` pass over the open file, and
+    that result is kept only where it provably equals the row loop's
+    (``_load_rows``). Everything else goes to the row loop, which decides
+    and is the only source of ``IngestionError``: blank lines, lines longer
+    than ``csv.field_size_limit()``, the separator characters 0x1C-0x1F,
+    an empty body, a row count or width other than the lines' and the
+    header's, non-finite values, labels other than 0/1, and whatever
+    loadtxt rejects (quotes, underscores, non-ASCII digits, a carriage
+    return inside a line, ragged rows, ...).
+    """
+    dataset = _load_parsed(path, label_column)
+    return dataset if dataset is not None else _load_rows(path, label_column)
+
+
+# Characters ``loadtxt`` strips as whitespace around a number and float() does not.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_CHUNK_CHARS = 1 << 16
+
+
+class _Unproven(Exception):
+    """The body holds something the row loop may read differently."""
+
+
+class _BodyLines:
+    """The lines after the header, read in chunks and handed out as one list
+    of lines per chunk, split at line feeds (the carriage return of a CRLF
+    stays on its line, where loadtxt takes it as the line end). Counts the
+    lines, and raises ``_Unproven`` where loadtxt and the row loop part
+    ways: a blank line (loadtxt skips it), a line longer than csv's field
+    size limit, one of ``_SEPARATORS``, and an empty body (loadtxt warns)."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        limit = csv.field_size_limit()
+        tail = ""
+        for chunk in iter(partial(self.fh.read, _CHUNK_CHARS), ""):
+            if any(c in chunk for c in _SEPARATORS):
+                raise _Unproven
+            lines = (tail + chunk).split("\n")
+            tail = lines.pop()
+            # an unfinished line already over the limit is not carried on
+            if len(tail) > limit:
+                raise _Unproven
+            yield self._checked(lines, limit)
+        if tail:
+            yield self._checked([tail], limit)
+        if self.count == 0:
+            raise _Unproven
+
+    def _checked(self, lines: list[str], limit: int) -> list[str]:
+        if "" in lines or "\r" in lines or max(map(len, lines), default=0) > limit:
+            raise _Unproven
+        self.count += len(lines)
+        return lines
+
+
+def _load_parsed(path, label_column: str) -> Dataset | None:
+    """``load_csv`` through one loadtxt pass over the open file; None
+    wherever the result could differ from ``_load_rows``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+            if header is None or label_column not in header:
+                return None
+            body = _BodyLines(fh)
+            table = np.loadtxt(
+                chain.from_iterable(body), delimiter=",", comments=None, ndmin=2,
+                dtype=np.float64,
+            )
+        except (ValueError, csv.Error, _Unproven):
+            return None
+    if table.shape != (body.count, len(header)) or not np.isfinite(table).all():
+        return None
+    label_idx = header.index(label_column)
+    labels = table[:, label_idx]
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        return None
+    keep = [i for i in range(len(header)) if i != label_idx]
+    return Dataset(
+        features=table.take(keep, axis=1),  # C-ordered, as the row loop builds it
+        labels=labels.astype(np.int64),
+        feature_names=tuple(header[i] for i in keep),
+    )
+
+
+def _load_rows(path, label_column: str = "label") -> Dataset:
+    """``load_csv`` one cell at a time: the definition of what is accepted."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        row_num = 0  # the last row read; the header is row 1
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file, header row required") from None
-        if label_column not in header:
-            raise IngestionError(f"{path}: missing label column {label_column!r}")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        rows = []
-        labels = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for i, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestionError(f"{path}: empty file, header row required") from None
+            row_num = 1
+            if label_column not in header:
+                raise IngestionError(f"{path}: missing label column {label_column!r}")
+            label_idx = header.index(label_column)
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+            rows = []
+            labels = []
+            for row_num, row in enumerate(reader, start=2):
+                if len(row) != len(header):
                     raise IngestionError(
-                        f"{path}: row {row_num}, column {header[i]!r}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise IngestionError(
-                        f"{path}: row {row_num}, column {header[i]!r}: "
-                        f"non-finite value {cell!r}"
+                        f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                     )
-                if i == label_idx:
-                    if value not in (0.0, 1.0):
+                values = []
+                for i, cell in enumerate(row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
                         raise IngestionError(
-                            f"{path}: row {row_num}: label must be 0 or 1, "
-                            f"got {cell!r}"
+                            f"{path}: row {row_num}, column {header[i]!r}: "
+                            f"non-numeric value {cell!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise IngestionError(
+                            f"{path}: row {row_num}, column {header[i]!r}: "
+                            f"non-finite value {cell!r}"
                         )
-                    labels.append(int(value))
-                else:
-                    values.append(value)
-            rows.append(values)
+                    if i == label_idx:
+                        if value not in (0.0, 1.0):
+                            raise IngestionError(
+                                f"{path}: row {row_num}: label must be 0 or 1, "
+                                f"got {cell!r}"
+                            )
+                        labels.append(int(value))
+                    else:
+                        values.append(value)
+                rows.append(values)
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: row {row_num + 1}: {exc}") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     return Dataset(

@@ -117,6 +117,7 @@ def batch_loss(
         with np.errstate(over="ignore"):
             for name in model.weight_names():
                 w = getattr(model, name)
-                value += l2_weight * float(np.sum(w * w))
+                # np.sum's reduction, without its Python-level dispatch
+                value += l2_weight * float(np.add.reduce(w * w, axis=None))
                 grads.data[name] += 2.0 * l2_weight * w
     return value, grads

@@ -1,7 +1,11 @@
 """Model initialization, forward passes, analytic gradients, serialization."""
 
 import copy
+import json
+import math
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +272,9 @@ class TestSerialization:
             ({"weights": ["a", "b"]}, "'weights' is not a numeric array"),
             ({"weights": [1.0, float("nan")]}, "'weights' holds non-finite values"),
             ({"bias": [float("inf")]}, "'bias' holds non-finite values"),
+            ({"weights": ["1", "2"]}, "'weights' is not a numeric array"),
+            ({"weights": [True, 2.0]}, "'weights' is not a numeric array"),
+            ({"weights": [1.0, 10**400]}, "'weights' holds non-finite values"),
         ],
     )
     def test_invalid_model_rejected(self, change, message):
@@ -289,6 +296,76 @@ class TestSerialization:
         path.write_text("[1, 2]\n")
         with pytest.raises(ValueError, match="bad.json: model must be a JSON object"):
             load_model(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "mlp"]),
+        n_features=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_round_trip_is_bit_exact_for_any_values(self, kind, n_features, data):
+        model = init_model(kind, n_features)
+        model.flat[:] = data.draw(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=model.flat.size, max_size=model.flat.size,
+            )
+        )
+        clone = model_from_dict(model_to_dict(model))
+        assert clone.flat.tobytes() == model.flat.tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(model, path)
+            assert load_model(path).flat.tobytes() == model.flat.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "mlp"]),
+        n_features=st.integers(1, 3),
+        mutation=st.sampled_from(
+            ["drop", "add", "longer", "shorter", "non_finite", "not_a_list",
+             "bad_element", "kind", "n_features"]
+        ),
+        data=st.data(),
+    )
+    def test_mutated_file_is_rejected_by_name(self, kind, n_features, mutation, data):
+        """Any one mutation of a valid file raises a ValueError naming the file."""
+        model = model_to_dict(init_model(kind, n_features, seed=1))
+        params = [k for k in model if k not in ("kind", "n_features")]
+        name = data.draw(st.sampled_from(params))
+        if mutation == "drop":
+            del model[data.draw(st.sampled_from(sorted(model)))]
+        elif mutation == "add":
+            extra = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in model))
+            model[extra] = data.draw(st.sampled_from([[1.0], 0, "x", None]))
+        elif mutation == "longer":
+            model[name] = model[name] + [0.5]
+        elif mutation == "shorter":
+            model[name] = model[name][:-1]
+        elif mutation == "non_finite":
+            at = data.draw(st.integers(0, len(model[name]) - 1))
+            model[name][at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif mutation == "not_a_list":
+            model[name] = data.draw(
+                st.sampled_from(["1.0", 1.0, 2, None, True, {"values": model[name]}, [model[name]]])
+            )
+        elif mutation == "bad_element":
+            at = data.draw(st.integers(0, len(model[name]) - 1))
+            model[name][at] = data.draw(
+                st.sampled_from(["1.0", True, False, None, [1.0], {}, 10**400])
+            )
+        elif mutation == "kind":
+            model["kind"] = data.draw(st.sampled_from(["svm", "", None, 1, ["linear"]]))
+        else:
+            model["n_features"] = data.draw(
+                st.sampled_from([0, -1, 2.5, "2", True, None, n_features + 1])
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(json.dumps(model))
+            with pytest.raises(ValueError) as exc:
+                load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_dict_shape(self):
         model = init_model("linear", 2)

@@ -1,9 +1,15 @@
 """End-to-end checks of the command-line interface."""
 
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teamopt import cli
 from teamopt.cli import main
 
 
@@ -187,6 +193,113 @@ class TestConfigFile:
         assert code == 1
 
 
+# train's settings: resolved key -> (flag, values a run may take)
+_TRAIN_SETTINGS = {
+    "lr": ("--lr", st.floats(1e-4, 1.0)),
+    "l2": ("--l2", st.floats(0.0, 1.0)),
+    "batch": ("--batch", st.integers(1, 64)),
+    "decay": ("--decay", st.floats(0.01, 0.99)),
+    "patience": ("--patience", st.integers(1, 9)),
+    "epochs": ("--epochs", st.integers(1, 300)),
+    "seeds": ("--seeds", st.integers(1, 20)),
+    "seed": ("--seed", st.integers(0, 10**6)),
+    "jobs": ("--jobs", st.integers(1, 4)),
+    "beta": ("--beta", st.floats(1.0, 10.0)),
+    "lam": ("--lambda", st.floats(0.0, 5.0)),
+    "human_accuracy": ("--a", st.floats(0.0, 1.0)),
+    "accept_probability": ("--p", st.floats(0.0, 1.0)),
+    "model": ("--model", st.sampled_from(cli.MODEL_KINDS)),
+    "loss": ("--loss", st.sampled_from(sorted(cli.LOSS_NAMES))),
+    "label_column": ("--label-column", st.sampled_from(["label", "y"])),
+}
+_TRAIN_DEFAULTS = {
+    "data": None, "out": None, "model": "linear", "loss": "eu", "seeds": 10, "seed": 0,
+    "warm_start": "auto", "jobs": 1, "label_column": "label",
+    **cli._POLICY_DEFAULTS, **cli._TRAIN_DEFAULTS,
+}
+
+
+def _resolve_train(flags, file_values=None):
+    """train's resolved settings for the given flags and --config contents."""
+    argv = ["train", "--data", "d.csv", "--out", "o"]
+    for key, value in flags.items():
+        argv += [_TRAIN_SETTINGS[key][0], str(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        if file_values is not None:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(file_values))
+            argv += ["--config", str(path)]
+        return cli._resolve(cli.build_parser().parse_args(argv), dict(_TRAIN_DEFAULTS))
+
+
+def _settings(draw, keys):
+    return {k: draw(_TRAIN_SETTINGS[k][1]) for k in keys}
+
+
+class TestConfigMerging:
+    """The resolved config is defaults < --config file < flags."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_flags_over_file_over_defaults(self, data):
+        keys = sorted(_TRAIN_SETTINGS)
+        in_file = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        flagged = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        file_values = _settings(data.draw, in_file)
+        flags = _settings(data.draw, flagged)
+        resolved = _resolve_train(flags, file_values)
+        for key in keys:
+            want = flags.get(key, file_values.get(key, _TRAIN_DEFAULTS[key]))
+            assert resolved[key] == want, key
+        assert resolved["command"] == "train"
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_resolved_config_reproduces_itself(self, data):
+        keys = data.draw(st.lists(st.sampled_from(sorted(_TRAIN_SETTINGS)), unique=True))
+        flags = _settings(data.draw, keys)
+        resolved = _resolve_train(flags)
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._write_resolved(Path(tmp), resolved)
+            written = json.loads((Path(tmp) / "config.resolved.json").read_text())
+        assert _resolve_train({}, written) == resolved
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        key=st.text(min_size=1, max_size=12).filter(
+            lambda k: k not in _TRAIN_DEFAULTS and k != "command"
+        )
+    )
+    def test_unknown_key_is_rejected(self, key):
+        with pytest.raises(ValueError, match="cfg.json: unknown config keys"):
+            _resolve_train({}, {key: 1})
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        command=st.one_of(
+            st.sampled_from(["eval", "analyze", "sweep", "exhaustive", "gen-data"]),
+            st.text(max_size=8),
+        ).filter(lambda c: c != "train")
+    )
+    def test_foreign_command_is_rejected(self, command):
+        with pytest.raises(ValueError, match="cfg.json: config was written by"):
+            _resolve_train({}, {"command": command, "epochs": 3})
+
+    @pytest.mark.parametrize("contents", [[], 3, "train", False])
+    def test_non_object_file_is_rejected(self, contents):
+        with pytest.raises(ValueError, match="cfg.json: config file must hold a JSON object"):
+            _resolve_train({}, contents)
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 3,}')
+        out = tmp_path / "o"
+        argv = ["train", "--data", "d.csv", "--config", str(cfg), "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        assert not out.exists()
+
+
 class TestRunCounts:
     """--seeds and --jobs must be integers >= 1, from flags or the config file."""
 
@@ -221,6 +334,117 @@ class TestRunCounts:
         assert code == 1
         assert "error: --seeds" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _model_file(tmp_path, n_features=2):
+    path = tmp_path / f"model{n_features}.json"
+    path.write_text(json.dumps({
+        "kind": "linear", "n_features": n_features,
+        "weights": [0.5] * n_features, "bias": [0.1],
+    }))
+    return path
+
+
+def _argv(command, data, tmp_path):
+    """A small run of each command, before its --out."""
+    model = str(_model_file(tmp_path))
+    return {
+        "train": ["train", "--data", data, "--seeds", "1", "--epochs", "1"],
+        "eval": ["eval", "--data", data, "--model-file", model],
+        "analyze": ["analyze", "--data", data, "--baseline-model", model, "--team-model", model],
+        "exhaustive": [
+            "exhaustive", "--data", data, "--seeds", "1", "--angles", "4",
+            "--offsets", "3", "--epochs", "1",
+        ],
+        "sweep": ["sweep", "--data", data, "--seeds", "1", "--epochs", "1"],
+    }[command]
+
+
+class TestRejectedCommandsWriteNothing:
+    """Inputs are loaded and validated before the first output is written."""
+
+    COMMANDS = ["train", "eval", "analyze", "exhaustive", "sweep"]
+
+    def _rejected(self, argv, tmp_path, capsys, message):
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_data_file(self, tmp_path, capsys, command):
+        argv = _argv(command, str(tmp_path / "absent.csv"), tmp_path)
+        self._rejected(argv, tmp_path, capsys, "absent.csv")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3,4,7", "row 3: label must be 0 or 1"),
+            # a csv.Error, not a ValueError, inside the csv module
+            ("0." + "0" * csv.field_size_limit() + ",4,1", "row 3: field larger than field limit"),
+        ],
+    )
+    def test_malformed_data_file(self, tmp_path, capsys, command, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,label\n1,2,0\n{row}\n")
+        self._rejected(_argv(command, str(path), tmp_path), tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "analyze", "exhaustive"])
+    def test_bad_policy_value(self, moons_csv, tmp_path, capsys, command):
+        argv = _argv(command, str(moons_csv), tmp_path) + ["--beta", "0.5"]
+        self._rejected(argv, tmp_path, capsys, "beta must be finite and >= 1")
+
+    @pytest.mark.parametrize("flag, value", [("--a", "1.5"), ("--beta", "1,0.5"), ("--a", "x")])
+    def test_bad_sweep_axis(self, moons_csv, tmp_path, capsys, flag, value):
+        argv = _argv("sweep", str(moons_csv), tmp_path) + [flag, value]
+        self._rejected(argv, tmp_path, capsys, "")
+
+    @pytest.mark.parametrize("command", ["train", "exhaustive", "sweep"])
+    def test_bad_train_config(self, moons_csv, tmp_path, capsys, command):
+        argv = _argv(command, str(moons_csv), tmp_path) + ["--lr", "0"]
+        self._rejected(argv, tmp_path, capsys, "learning_rate must be > 0")
+
+    @pytest.mark.parametrize("sharpness", [",", "1,x", "0"])
+    def test_bad_grid(self, moons_csv, tmp_path, capsys, sharpness):
+        argv = _argv("exhaustive", str(moons_csv), tmp_path) + ["--sharpness", sharpness]
+        self._rejected(argv, tmp_path, capsys, "")
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    @pytest.mark.parametrize("bins", ["0", "1"])
+    def test_too_few_bins(self, moons_csv, tmp_path, capsys, command, bins):
+        argv = _argv(command, str(moons_csv), tmp_path) + ["--bins", bins]
+        self._rejected(argv, tmp_path, capsys, f"--bins must be an integer >= 2, got {bins}")
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_model_of_another_width(self, moons_csv, tmp_path, capsys, command):
+        argv = _argv(command, str(moons_csv), tmp_path)
+        argv[argv.index(str(_model_file(tmp_path)))] = str(_model_file(tmp_path, 3))
+        self._rejected(argv, tmp_path, capsys, "model takes 3 features, the data has 2")
+
+    def test_warm_start_of_another_width(self, moons_csv, tmp_path, capsys):
+        argv = _argv("train", str(moons_csv), tmp_path)
+        argv += ["--warm-start", str(_model_file(tmp_path, 3))]
+        self._rejected(argv, tmp_path, capsys, "model takes 3 features")
+
+    @pytest.mark.parametrize("command", ["train", "exhaustive", "sweep"])
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1])
+    def test_bad_seed_in_config(self, moons_csv, tmp_path, capsys, command, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        argv = _argv(command, str(moons_csv), tmp_path) + ["--config", str(cfg)]
+        self._rejected(argv, tmp_path, capsys, f"--seed must be an integer >= 0, got {seed!r}")
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("train", "model", "cnn"), ("sweep", "model", "cnn"), ("train", "loss", "hinge")],
+    )
+    def test_unknown_name_in_config(self, moons_csv, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = _argv(command, str(moons_csv), tmp_path) + ["--config", str(cfg)]
+        self._rejected(argv, tmp_path, capsys, f"--{key} must be one of")
 
 
 class TestEvalAnalyze:
@@ -280,7 +504,7 @@ class TestEvalAnalyze:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert not (tmp_path / "eval" / "metrics.json").exists()
+        assert not (tmp_path / "eval").exists()
 
 
 class TestExhaustiveAndSweep:

@@ -1,7 +1,14 @@
 """Generators, CSV ingestion, splitting, and standardization."""
 
+import csv
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamopt.analysis import evaluate
 from teamopt.classifiers import LinearModel
@@ -18,6 +25,7 @@ from teamopt.data import (
     split,
     standardize,
 )
+from teamopt.data import _load_parsed, _load_rows
 from teamopt.team_model import HumanPolicy, UtilityParams
 
 
@@ -183,6 +191,96 @@ class TestMoons:
         assert evaluate(result.best_model, te, policy).accuracy == 1.0
 
 
+def _outcome(load):
+    """What a loader gives: the Dataset's exact bits, or the error message."""
+    try:
+        ds = load()
+    except IngestionError as exc:
+        return ("error", str(exc))
+    return (
+        ds.features.shape, ds.features.dtype, ds.features.tobytes(),
+        ds.labels.dtype, ds.labels.tobytes(), ds.feature_names,
+    )
+
+
+@contextmanager
+def _field_size_limit(limit):
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+_CLEAN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "1", "-0", "2", "-3.25", ".5", "5.", "+1", "1E-3", " 4 ", "\t0"]),
+)
+_CLEAN_LABELS = st.sampled_from(["0", "1", "1.0", "-0", "0e3", " 1"])
+_DIRTY_CELLS = st.sampled_from([
+    "", " ", "abc", "inf", "-inf", "nan", "NaN", "1e400", "-1e400", "Infinity",
+    "\x0c1", "1\x0b", "\u00a01", "1\u2003", "\u20281", "1\x85",
+    "1_0", "1__0", "_1", "\u0661", "\u0660", "\uff11",
+    '"1"', '"0', '1"', '"1,2"', '""', '"1\n2"', "\ufeff1", "1\x00",
+    "\x1c1", "0\x1d", "\x1e0", "1\x1f", "0x10", "1 2", "1e", "+-1", "1j", "1\r2",
+])
+_BAD_LABELS = st.sampled_from(["2", "0.5", "-1", "x", "nan", "inf", "", "1e400", "\u0661"])
+_HEADER_NAMES = st.sampled_from(
+    ["a", "label", "\ufefflabel", '"label"', '"la,bel"', "lab el", " label", ""]
+)
+_TRAPS = ("cell", "label", "header", "ragged", "width", "blank", "bom", "lone_cr")
+
+
+@st.composite
+def csv_texts(draw, clean=False):
+    """CSV text built to probe where loadtxt and csv + float() could part
+    ways: CRLF, LF and lone CR line ends, a missing final newline, blank and
+    whitespace-only lines, quotes, a BOM, underscores, non-ASCII digits and
+    spaces, separator characters, non-finite values, bad labels, ragged
+    rows, and the label column at any position, alone or missing. A clean
+    file is well formed; any other carries up to three traps."""
+    n_features = draw(st.integers(0, 3))
+    header = [draw(st.sampled_from(["a", "b", "x1", "x 2"])) for _ in range(n_features)]
+    label_at = draw(st.integers(0, len(header)))
+    header.insert(label_at, "label")
+    rows = [[draw(_CLEAN_CELLS) for _ in header] for _ in range(draw(st.integers(1, 6)))]
+    for row in rows:
+        row[label_at] = draw(_CLEAN_LABELS)
+    ends = ["\n", "\r\n"]
+    traps = [] if clean else draw(st.lists(st.sampled_from(_TRAPS), max_size=3))
+    blank_at = []
+    for trap in traps:
+        r = draw(st.integers(0, len(rows) - 1))
+        if trap == "cell" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(_DIRTY_CELLS)
+        elif trap == "label" and label_at < len(rows[r]):
+            rows[r][label_at] = draw(_BAD_LABELS)
+        elif trap == "header":
+            header[draw(st.integers(0, len(header) - 1))] = draw(_HEADER_NAMES)
+        elif trap == "ragged":
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["1"]
+        elif trap == "width":
+            rows = [row + ["0"] for row in rows]
+        elif trap == "blank":
+            at = draw(st.integers(0, len(rows)))
+            blank_at.append((at, draw(st.sampled_from(["", " ", "\t", "\r"]))))
+        elif trap == "lone_cr":
+            ends.append("\r")
+    if not clean and draw(st.integers(0, 7)) == 0:
+        rows = []  # an empty body, or one of only blank lines
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for at, blank in sorted(blank_at, reverse=True):
+        lines.insert(1 + min(at, len(rows)), blank)
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if "bom" in traps:
+        text = "\ufeff" + text
+    return text
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         ds = gen_moons(200, seed=4)
@@ -224,6 +322,68 @@ class TestCsv:
         path.write_text("a,label\ninf,0\n")
         with pytest.raises(IngestionError, match="non-finite"):
             load_csv(path)
+
+    def test_cell_over_the_field_size_limit_cites_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        long_cell = "0." + "0" * csv.field_size_limit()
+        path.write_text(f"a,label\n1,0\n{long_cell},1\n")
+        with pytest.raises(IngestionError, match=r"t\.csv: row 3: field larger than field limit"):
+            load_csv(path)
+
+    def test_header_over_the_field_size_limit_cites_row_1(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a" * (csv.field_size_limit() + 1) + ",label\n1,0\n")
+        with pytest.raises(IngestionError, match=r"t\.csv: row 1: field larger"):
+            load_csv(path)
+
+    def test_save_csv_files_take_the_single_parse(self, tmp_path):
+        ds = gen_scenario1(300, seed=2)
+        path = tmp_path / "s.csv"
+        save_csv(ds, path)
+        assert b"\r\n" in path.read_bytes()
+        parsed = _load_parsed(path, "label")
+        assert parsed is not None
+        assert parsed.features.flags.c_contiguous
+        assert parsed.features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,label\n1,0\n\n", "a,label\n\n1,0\n", "a,label\n\n", "a,label\r\n\r\n",
+            "a,label\n", "a,label", "label\n1\n\r\n", "label\n0\n \n", "label\n0\n\r",
+            "a,label\r\n1,0\r2,1\r\n", "a,label\n1,0\r\r\n", "a,label\n1,0\r",
+            'a,label\n"1",0\n', 'a,label\n"1\n2",0\n', "\ufeffa,label\n1,0\n",
+            "a,label\n1_0,0\n", "a,label\n\u0661,0\n", "a,label\n\u00a01\u2003,0\n",
+            "a,label\n1\x1c,0\n", "a,label\ninf,0\n", "a,label\n1e400,0\n",
+            "a,label\n1,2\n", "a,label\n1,0,3\n", "a,label\n1,0\n2\n",
+        ],
+    )
+    def test_probed_differences_match_the_row_loop(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(lambda: load_csv(path)) == _outcome(lambda: _load_rows(path))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts(), limit=st.sampled_from([None, 4, 7]))
+    def test_single_parse_matches_the_row_loop(self, text, limit):
+        """The same Dataset bits, or the same IngestionError message."""
+        with _field_size_limit(limit), tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(lambda: load_csv(path)) == _outcome(lambda: _load_rows(path))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(text=csv_texts(clean=True))
+    def test_clean_files_are_not_sent_to_the_row_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            parsed = _load_parsed(path, "label")
+            assert parsed is not None
+            assert _outcome(lambda: parsed) == _outcome(lambda: _load_rows(path))
 
 
 class TestSplit:
