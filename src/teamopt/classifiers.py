@@ -45,6 +45,13 @@ LOGIT_CLAMP = 500.0
 HIDDEN1 = 50
 HIDDEN2 = 10
 
+# Rows per block of a large MLP forward pass. Blocks start at multiples of it
+# and the last one takes the remainder, so no block is a short ragged tail and
+# a BLAS kernel's row tail falls on the same rows as in one full-batch call:
+# with a single-threaded OpenBLAS the blocks give the full batch's bits, while
+# 1- or 7-row blocks take other kernels and differ in the last digits.
+BLOCK_ROWS = 8192
+
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function (no overflow for any finite z).
@@ -171,22 +178,24 @@ Model = Union[LinearModel, MlpModel]
 class GradientBuffer:
     """Per-parameter gradients, laid out in one flat buffer like a model's.
 
-    ``data`` maps parameter names to views of ``flat``; a dict given without
-    ``flat`` is copied into a fresh buffer in its own key order.
+    ``data`` maps parameter names to views of ``flat``, placed by ``layout``;
+    a dict given without ``flat`` is copied into a fresh buffer in its own
+    key order.
     """
 
     data: dict[str, np.ndarray]
     flat: np.ndarray | None = field(default=None, repr=False)
+    layout: Layout | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.flat is None:
-            self.flat, layout = _pack(self.data)
-            self.data = _views(self.flat, layout)
+            self.flat, self.layout = _pack(self.data)
+            self.data = _views(self.flat, self.layout)
 
     @classmethod
     def zeros_like(cls, model: Model) -> "GradientBuffer":
         flat = np.zeros_like(model.flat)
-        return cls(_views(flat, model.layout), flat)
+        return cls(_views(flat, model.layout), flat, model.layout)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -197,7 +206,15 @@ class GradientBuffer:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations of one batched forward pass."""
+    """Intermediate activations of one batched forward pass.
+
+    An MLP pass keeps its hidden activations (``a1`` to ``h2``) only for a
+    batch of fewer than ``2 * BLOCK_ROWS`` rows, which covers training
+    mini-batches. A larger batch is scored in blocks and keeps none, so
+    scoring a whole dataset never holds the activations of all its rows;
+    given such a cache, ``backward_batch`` recomputes them from ``features``
+    in one pass.
+    """
 
     kind: str
     features: np.ndarray
@@ -259,22 +276,38 @@ def _clamp(z: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP)
 
 
+def _mlp_layers(model: MlpModel, X: np.ndarray):
+    """The MLP's logits for the rows of X and its hidden activations
+    (a1, h1, a2, h2)."""
+    a1 = X @ model.w1.T + model.b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ model.w2.T + model.b2
+    h2 = np.maximum(a2, 0.0)
+    return h2 @ model.w3 + model.b3[0], (a1, h1, a2, h2)
+
+
 def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
-    """Positive-class probabilities for a batch, plus the activation cache."""
+    """Positive-class probabilities for a batch, plus the activation cache.
+
+    An MLP batch of ``2 * BLOCK_ROWS`` rows or more is computed in blocks of
+    ``BLOCK_ROWS`` rows and keeps no hidden activations (see ForwardCache).
+    """
     X = _check_batch(model, features)
     if model.kind == "linear":
         z = X @ model.weights + model.bias[0]
         prob1 = sigmoid(_clamp(z))
         return prob1, ForwardCache(kind="linear", features=X, z=z, prob1=prob1)
-    a1 = X @ model.w1.T + model.b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ model.w2.T + model.b2
-    h2 = np.maximum(a2, 0.0)
-    z = h2 @ model.w3 + model.b3[0]
+    n_blocks = len(X) // BLOCK_ROWS
+    if n_blocks < 2:
+        z, hidden = _mlp_layers(model, X)
+    else:
+        z, hidden = np.empty(len(X)), (None,) * 4
+        # blocks start at multiples of BLOCK_ROWS; the remainder joins the last one
+        edges = [k * BLOCK_ROWS for k in range(n_blocks)] + [len(X)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            z[lo:hi] = _mlp_layers(model, X[lo:hi])[0]
     prob1 = sigmoid(_clamp(z))
-    return prob1, ForwardCache(
-        kind="mlp", features=X, z=z, prob1=prob1, a1=a1, h1=h1, a2=a2, h2=h2
-    )
+    return prob1, ForwardCache("mlp", X, z, prob1, *hidden)
 
 
 def forward(model: Model, features) -> Prediction:
@@ -310,16 +343,20 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> GradientBuffer
     if model.kind == "linear":
         np.matmul(X.T, dz, out=out["weights"])
         dz.sum(keepdims=True, out=out["bias"])
-        return GradientBuffer(out, flat)
-    da2 = (dz[:, None] * model.w3[None, :]) * (cache.a2 > 0.0)
-    da1 = (da2 @ model.w2) * (cache.a1 > 0.0)
+        return GradientBuffer(out, flat, model.layout)
+    if cache.a1 is None:  # a blocked forward pass kept no activations
+        _, (a1, h1, a2, h2) = _mlp_layers(model, X)
+    else:
+        a1, h1, a2, h2 = cache.a1, cache.h1, cache.a2, cache.h2
+    da2 = (dz[:, None] * model.w3[None, :]) * (a2 > 0.0)
+    da1 = (da2 @ model.w2) * (a1 > 0.0)
     np.matmul(da1.T, X, out=out["w1"])
     da1.sum(axis=0, out=out["b1"])
-    np.matmul(da2.T, cache.h1, out=out["w2"])
+    np.matmul(da2.T, h1, out=out["w2"])
     da2.sum(axis=0, out=out["b2"])
-    np.matmul(cache.h2.T, dz, out=out["w3"])
+    np.matmul(h2.T, dz, out=out["w3"])
     dz.sum(keepdims=True, out=out["b3"])
-    return GradientBuffer(out, flat)
+    return GradientBuffer(out, flat, model.layout)
 
 
 def backward(

@@ -54,6 +54,19 @@ _POLICY_DEFAULTS = {"beta": 1.0, "lam": 0.5, "human_accuracy": 1.0, "accept_prob
 _TRAIN_DEFAULTS = {"lr": 0.1, "l2": 1e-3, "batch": 32, "decay": 0.1, "patience": 5, "epochs": 200}
 
 
+def _fits(default, value) -> bool:
+    """Whether a config value can stand in for its default: an int default
+    takes an int and a float default an int or a float, neither a bool; a
+    tuple or list default takes a list of its first element's type."""
+    if isinstance(default, (tuple, list)):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(value, bool) and not isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < --config file < explicit flags."""
     given = {
@@ -94,6 +107,14 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     for key, names in (("model", MODEL_KINDS), ("loss", tuple(LOSS_NAMES))):
         if key in merged and merged[key] not in names:
             raise ValueError(f"--{key} must be one of {names}, got {merged[key]!r}")
+    # argparse types the flags, so a mismatch comes from the config file; a
+    # None default belongs to a required flag, which always overrides it
+    for key, default in defaults.items():
+        if default is not None and not _fits(default, merged[key]):
+            raise ValueError(
+                f"{config_path}: {key!r} must be of type {type(default).__name__}, "
+                f"got {merged[key]!r}"
+            )
     return merged
 
 
@@ -274,7 +295,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     grid = exhaustive.LinearGrid(
         n_angles=resolved["angles"],
         n_offsets=resolved["offsets"],
-        sharpness=tuple(float(s) for s in str(resolved["sharpness"]).split(",")),
+        sharpness=tuple(float(s) for s in resolved["sharpness"].split(",")),
     )
     top2 = exhaustive.select_top2_features(dataset)
     dataset2d = data.select_features(dataset, top2)
@@ -315,8 +336,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     config = _train_config(resolved)
-    a_values = [float(v) for v in str(resolved["a"]).split(",")]
-    beta_values = [float(v) for v in str(resolved["beta"]).split(",")]
+    a_values = [float(v) for v in resolved["a"].split(",")]
+    beta_values = [float(v) for v in resolved["beta"].split(",")]
     for a in a_values:  # each point's utility parameters, checked before any output
         for beta in beta_values:
             UtilityParams(beta=beta, lam=resolved["lam"], human_accuracy=a)

@@ -63,13 +63,14 @@ def adam_step(
 ) -> tuple[Model, AdamState]:
     """One bias-corrected Adam update of the whole flat buffer, in place;
     returns (model, state)."""
-    params = model.parameters()
-    shapes = {k: p.shape for k, p in params.items()}
-    if {k: g.shape for k, g in grads.items()} != shapes:
-        raise ValueError(f"gradient buffer does not match model parameters {shapes}")
-    # a gradient dict given in another key order was packed in that order
-    same_order = list(grads.data) == list(params)
-    g = grads.flat if same_order else np.concatenate([grads[k].ravel() for k in params])
+    if grads.layout == model.layout:
+        g = grads.flat
+    else:
+        shapes = {k: p.shape for k, p in model.parameters().items()}
+        if {k: g.shape for k, g in grads.items()} != shapes:
+            raise ValueError(f"gradient buffer does not match model parameters {shapes}")
+        # a gradient dict given in another key order was packed in that order
+        g = np.concatenate([grads[k].ravel() for k in shapes])
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t

@@ -1,11 +1,19 @@
 """Shared test utilities: random models, the finite-difference gradient
-oracle, the per-array backward and Adam oracles, the dense exhaustive-search
-scorer, and hypothesis strategies for policies and model outputs."""
+oracle, the unblocked forward, per-array backward and Adam oracles, the dense
+exhaustive-search scorer, and hypothesis strategies for policies and model
+outputs."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from teamopt.classifiers import LOGIT_CLAMP, init_model, sigmoid
+from teamopt.classifiers import (
+    LOGIT_CLAMP,
+    ForwardCache,
+    backward_batch,
+    forward_batch,
+    init_model,
+    sigmoid,
+)
 from teamopt.losses import batch_loss
 from teamopt.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from teamopt.team_model import HumanPolicy, UtilityParams, utilities
@@ -47,6 +55,44 @@ def max_relative_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def unblocked_forward(model, features):
+    """forward_batch as one pass over every row that keeps every hidden
+    activation; the reference the blocked pass is tested against."""
+    X = np.asarray(features, dtype=np.float64)
+    if model.kind == "linear":
+        z = X @ model.weights + model.bias[0]
+        prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+        return prob1, ForwardCache("linear", X, z, prob1)
+    a1 = X @ model.w1.T + model.b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ model.w2.T + model.b2
+    h2 = np.maximum(a2, 0.0)
+    z = h2 @ model.w3 + model.b3[0]
+    prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
+    return prob1, ForwardCache("mlp", X, z, prob1, a1, h1, a2, h2)
+
+
+def blocked_pass_mismatches(kind, n, seed=0):
+    """Names of the arrays in which forward_batch on n random rows, and
+    backward_batch on its cache, differ in any bit from unblocked_forward and
+    per_array_backward on the full cache."""
+    model = random_model(kind, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    d_prob1 = rng.normal(size=n)
+    prob1, cache = forward_batch(model, X)
+    want_prob1, want_cache = unblocked_forward(model, X)
+    got = {"prob1": prob1, "z": cache.z, **backward_batch(model, cache, d_prob1).data}
+    want = {
+        "prob1": want_prob1, "z": want_cache.z,
+        **per_array_backward(model, want_cache, d_prob1),
+    }
+    return [
+        name for name, w in want.items()
+        if not np.array_equal(got[name].view(np.int64), w.view(np.int64))
+    ]
 
 
 def per_array_backward(model, cache, d_prob1):

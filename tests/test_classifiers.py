@@ -3,8 +3,12 @@
 import copy
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import per_array_backward, random_model
+from teamopt import classifiers
 from teamopt.classifiers import (
+    BLOCK_ROWS,
+    HIDDEN1,
     GradientBuffer,
     LinearModel,
     backward,
@@ -137,6 +144,74 @@ class TestForward:
         p_full, _ = forward_batch(model, X)
         p_perm, _ = forward_batch(model, X[perm])
         assert np.array_equal(p_full[perm], p_perm)
+
+
+# sizes around the block edges, where the last block takes the remainder
+BLOCKED_SIZES = [
+    1, 32, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
+    2 * BLOCK_ROWS + 7, 3 * BLOCK_ROWS + 1, 400_003,
+]
+ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+@pytest.fixture(scope="module")
+def one_thread_mismatches():
+    """helpers.blocked_pass_mismatches for each kind and size, run in a fresh
+    interpreter whose BLAS uses one thread. With several threads, OpenBLAS
+    splits a full batch's rows between them at a row that need not be a
+    multiple of its kernel's row unroll, and the rows at that split then take
+    an edge kernel whose last bits differ; so neither layout has thread-free
+    bits, and the identity is tested where the rows alone decide them."""
+    code = (
+        "import json, helpers\n"
+        "print(json.dumps({f'{k}-{n}': helpers.blocked_pass_mismatches(k, n)"
+        f" for k in ('linear', 'mlp') for n in {BLOCKED_SIZES}}}))"
+    )
+    paths = [str(Path(classifiers.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize("n", BLOCKED_SIZES)
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_same_bits_as_one_full_batch(self, one_thread_mismatches, kind, n):
+        # forward's prob1 and z, and backward's gradients from its cache
+        mismatches = one_thread_mismatches[f"{kind}-{n}"]
+        assert mismatches == [], f"this BLAS breaks the blocked pass's bits in {mismatches}"
+
+    @pytest.mark.parametrize("n, kept", [(2 * BLOCK_ROWS - 1, True), (2 * BLOCK_ROWS, False)])
+    def test_activations_kept_only_for_one_block(self, n, kept):
+        model = random_model("mlp", 2, seed=0)
+        _, cache = forward_batch(model, np.zeros((n, 2)))
+        hidden = (cache.a1, cache.h1, cache.a2, cache.h2)
+        assert all((a is not None) == kept for a in hidden)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_last_row_raises_before_any_block(self, monkeypatch, bad):
+        model = random_model("mlp", 2, seed=0)
+        X = np.zeros((3 * BLOCK_ROWS + 1, 2))
+        X[-1, 1] = bad
+        blocks = []
+        monkeypatch.setattr(classifiers, "_mlp_layers", lambda *args: blocks.append(args))
+        with pytest.raises(ValueError, match="features must be finite"):
+            forward_batch(model, X)
+        assert blocks == []
+
+    def test_peak_memory_below_one_activation_array(self):
+        # a whole-dataset cache would hold a1, h1, a2 and h2 of every row
+        n = 200_000
+        model = random_model("mlp", 2, seed=0)
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            forward_batch(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * HIDDEN1 * 8
 
 
 class TestBackward:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import csv
 import json
 import tempfile
@@ -285,6 +286,39 @@ class TestConfigMerging:
         with pytest.raises(ValueError, match="cfg.json: config was written by"):
             _resolve_train({}, {"command": command, "epochs": 3})
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_value_of_another_type_is_rejected(self, data):
+        key = data.draw(st.sampled_from(sorted(_TRAIN_SETTINGS)))
+        default = _TRAIN_DEFAULTS[key]
+        others = {
+            int: st.floats(allow_nan=False) | st.text() | st.booleans(),
+            float: st.text() | st.booleans(),
+            str: st.integers() | st.floats(allow_nan=False) | st.booleans(),
+        }[type(default)]
+        value = data.draw(others | st.none() | st.lists(st.integers(), max_size=2))
+        with pytest.raises(ValueError, match=key):
+            _resolve_train({}, {key: value})
+
+    def test_int_stands_in_for_a_float(self):
+        resolved = _resolve_train({}, {"lr": 1, "beta": 2})
+        assert (resolved["lr"], resolved["beta"]) == (1, 2)
+        assert type(resolved["lr"]) is int
+
+    @pytest.mark.parametrize(
+        "value, ok",
+        [([0.5, 2], True), ([], True), ([0.5, "x"], False), ([True], False), (0.5, False)],
+    )
+    def test_list_default_takes_a_list_of_its_element_type(self, tmp_path, value, ok):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"widths": value}))
+        args = argparse.Namespace(command="train", config=str(cfg))
+        if ok:
+            assert cli._resolve(args, {"widths": (1.0,)})["widths"] == value
+        else:
+            with pytest.raises(ValueError, match="cfg.json: 'widths' must be of type tuple"):
+                cli._resolve(args, {"widths": (1.0,)})
+
     @pytest.mark.parametrize("contents", [[], 3, "train", False])
     def test_non_object_file_is_rejected(self, contents):
         with pytest.raises(ValueError, match="cfg.json: config file must hold a JSON object"):
@@ -435,6 +469,22 @@ class TestRejectedCommandsWriteNothing:
         cfg.write_text(json.dumps({"seed": seed}))
         argv = _argv(command, str(moons_csv), tmp_path) + ["--config", str(cfg)]
         self._rejected(argv, tmp_path, capsys, f"--seed must be an integer >= 0, got {seed!r}")
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train", "lr", "0.1"), ("train", "beta", "2"), ("train", "patience", 1.5),
+            ("train", "label_column", 3), ("exhaustive", "batch", 4.0),
+            ("exhaustive", "sharpness", [1, 2]), ("sweep", "a", 0.9),
+            ("sweep", "batch", True), ("eval", "standardize", 1), ("eval", "beta", "2"),
+            ("analyze", "standardize", "yes"), ("analyze", "lam", None),
+        ],
+    )
+    def test_config_value_of_another_type(self, moons_csv, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = _argv(command, str(moons_csv), tmp_path) + ["--config", str(cfg)]
+        self._rejected(argv, tmp_path, capsys, f"cfg.json: {key!r} must be of type")
 
     @pytest.mark.parametrize(
         "command, key, value",
