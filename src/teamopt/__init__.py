@@ -20,11 +20,7 @@ from .analysis import (
 )
 from .classifiers import (
     GradientBuffer,
-    LinearModel,
-    MlpModel,
     Model,
-    backward,
-    forward,
     forward_batch,
     init_model,
     load_model,

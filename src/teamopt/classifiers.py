@@ -1,11 +1,12 @@
 """Binary probabilistic classifiers with exact analytic gradients.
 
-Two architectures: a logistic-regression linear model and a fixed
-two-hidden-layer perceptron (50 and 10 rectified-linear units) with a single
-sigmoid output head. Batched forward passes return the positive-class
-probability together with a cache of intermediate activations; the matching
-backward pass consumes that cache and produces exact parameter gradients for
-any upstream derivative with respect to the positive-class probability.
+Every model is a stack of dense layers with a single sigmoid output head:
+logistic regression is the stack with no hidden layers, and the MLP has two
+hidden layers of 50 and 10 rectified-linear units. Batched forward passes
+return the positive-class probability together with a cache of intermediate
+activations; the matching backward pass consumes that cache and produces
+exact parameter gradients for any upstream derivative with respect to the
+positive-class probability.
 """
 
 from __future__ import annotations
@@ -14,23 +15,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
-from .team_model import Prediction
-
 __all__ = [
-    "LinearModel",
-    "MlpModel",
     "Model",
     "GradientBuffer",
     "ForwardCache",
     "sigmoid",
     "init_model",
-    "forward",
     "forward_batch",
-    "backward",
     "backward_batch",
     "model_to_dict",
     "model_from_dict",
@@ -42,10 +36,10 @@ __all__ = [
 # 1.0, so only pathological inputs are affected.
 LOGIT_CLAMP = 500.0
 
-HIDDEN1 = 50
-HIDDEN2 = 10
+# Hidden-layer widths of each model kind; the linear model has none.
+HIDDEN = {"linear": (), "mlp": (50, 10)}
 
-# Rows per block of a large MLP forward pass. Blocks start at multiples of it
+# Rows per block of a large forward pass. Blocks start at multiples of it
 # and the last one takes the remainder, so no block is a short ragged tail and
 # a BLAS kernel's row tail falls on the same rows as in one full-batch call:
 # with a single-threaded OpenBLAS the blocks give the full batch's bits, while
@@ -100,78 +94,58 @@ def _pack(arrays: dict) -> tuple[np.ndarray, Layout]:
     return np.concatenate([a.ravel() for a in arrays.values()]), _layout(arrays)
 
 
-class _FlatParameters:
-    """Parameter fields as views of ``flat``, one float64 buffer in
-    ``parameters()`` order that an optimizer updates in one pass, placed by
-    ``layout``, which gradient buffers share. The constructor copies its
-    arguments into it; pickle and deepcopy rebuild through the constructor,
-    which keeps the views attached to the buffer."""
+def _names(depth: int) -> tuple[str, ...]:
+    """Parameter names of a stack of ``depth`` layers, in ``flat`` order."""
+    if depth == 1:
+        return ("weights", "bias")
+    return tuple(f"{p}{k}" for k in range(1, depth + 1) for p in "wb")
 
-    def __post_init__(self) -> None:
-        self._bind(*_pack(self.parameters()))
 
-    def _bind(self, flat: np.ndarray, layout: Layout):
+def _shapes(kind: str, n_features: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(weight shape, bias shape) of each layer of a model of this kind."""
+    widths = (n_features, *HIDDEN[kind])
+    return [((o, i), (o,)) for i, o in zip(widths, widths[1:])] + [((widths[-1],), (1,))]
+
+
+class Model:
+    """A stack of dense layers with a sigmoid head.
+
+    ``layers`` holds one (weight, bias) pair per layer: ReLU hidden layers
+    with an (out, in) weight and an (out,) bias, then the output layer with
+    an (in,) weight and a (1,) bias. The linear model is the stack with no
+    hidden layers. The parameters are views of ``flat``, one float64 buffer
+    in ``parameters()`` order that an optimizer updates in one pass, placed
+    by ``layout``, which gradient buffers share; they are also named fields,
+    ``weights``/``bias`` for the linear model and ``w1``, ``b1``, ... for
+    deeper ones. The constructor copies its arguments into the buffer;
+    pickle and deepcopy rebuild through it, which keeps the views attached.
+    """
+
+    def __init__(self, layers) -> None:
+        arrays = [a for layer in layers for a in layer]
+        self._bind(*_pack(dict(zip(_names(len(layers)), arrays))))
+
+    def _bind(self, flat: np.ndarray, layout: Layout) -> "Model":
         self.flat = flat
         self.layout = layout
-        for name, view in _views(flat, layout).items():
-            setattr(self, name, view)
+        views = _views(flat, layout)
+        self.__dict__.update(views)
+        params = tuple(views.values())
+        self.layers = tuple(zip(params[::2], params[1::2]))
+        self.n_features = self.layers[0][0].shape[-1]
+        widths = tuple(b.size for _, b in self.layers[:-1])
+        # None for a stack of widths no kind has
+        self.kind = next((k for k, w in HIDDEN.items() if w == widths), None)
         return self
 
-    def copy(self):
-        return object.__new__(type(self))._bind(self.flat.copy(), self.layout)
+    def parameters(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name, _, _ in self.layout}
+
+    def copy(self) -> "Model":
+        return object.__new__(Model)._bind(self.flat.copy(), self.layout)
 
     def __reduce__(self):
-        return type(self), tuple(self.parameters().values())
-
-
-@dataclass
-class LinearModel(_FlatParameters):
-    weights: np.ndarray
-    bias: np.ndarray  # shape (1,)
-
-    kind = "linear"
-
-    @property
-    def n_features(self) -> int:
-        return int(self.weights.shape[0])
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def weight_names(self) -> tuple[str, ...]:
-        return ("weights",)
-
-
-@dataclass
-class MlpModel(_FlatParameters):
-    w1: np.ndarray  # (50, n)
-    b1: np.ndarray  # (50,)
-    w2: np.ndarray  # (10, 50)
-    b2: np.ndarray  # (10,)
-    w3: np.ndarray  # (10,)
-    b3: np.ndarray  # (1,)
-
-    kind = "mlp"
-
-    @property
-    def n_features(self) -> int:
-        return int(self.w1.shape[1])
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-            "w3": self.w3,
-            "b3": self.b3,
-        }
-
-    def weight_names(self) -> tuple[str, ...]:
-        return ("w1", "w2", "w3")
-
-
-Model = Union[LinearModel, MlpModel]
+        return Model, (self.layers,)
 
 
 @dataclass
@@ -192,11 +166,6 @@ class GradientBuffer:
             self.flat, self.layout = _pack(self.data)
             self.data = _views(self.flat, self.layout)
 
-    @classmethod
-    def zeros_like(cls, model: Model) -> "GradientBuffer":
-        flat = np.zeros_like(model.flat)
-        return cls(_views(flat, model.layout), flat, model.layout)
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
 
@@ -208,22 +177,20 @@ class GradientBuffer:
 class ForwardCache:
     """Intermediate activations of one batched forward pass.
 
-    An MLP pass keeps its hidden activations (``a1`` to ``h2``) only for a
-    batch of fewer than ``2 * BLOCK_ROWS`` rows, which covers training
-    mini-batches. A larger batch is scored in blocks and keeps none, so
-    scoring a whole dataset never holds the activations of all its rows;
-    given such a cache, ``backward_batch`` recomputes them from ``features``
-    in one pass.
+    ``hidden`` holds each hidden layer's (pre-activation, activation) pair,
+    kept only for a batch of fewer than ``2 * BLOCK_ROWS`` rows, which covers
+    training mini-batches. A larger batch is scored in blocks and keeps none
+    (``hidden`` is None), so scoring a whole dataset never holds the
+    activations of all its rows; given such a cache, ``backward_batch``
+    recomputes them from ``features`` in one pass. ``depth`` is the number of
+    layers of the model that made the cache.
     """
 
-    kind: str
     features: np.ndarray
     z: np.ndarray
     prob1: np.ndarray
-    a1: np.ndarray | None = None
-    h1: np.ndarray | None = None
-    a2: np.ndarray | None = None
-    h2: np.ndarray | None = None
+    hidden: list[tuple[np.ndarray, np.ndarray]] | None
+    depth: int
 
 
 def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape):
@@ -240,21 +207,18 @@ def init_model(kind: str, n_features: int, seed: int = 0) -> Model:
     """
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
-    if kind == "linear":
-        return LinearModel(
-            weights=np.zeros(n_features), bias=np.zeros(1)
-        )
-    if kind == "mlp":
-        rng = np.random.default_rng(seed)
-        return MlpModel(
-            w1=_glorot_uniform(rng, n_features, HIDDEN1, (HIDDEN1, n_features)),
-            b1=np.zeros(HIDDEN1),
-            w2=_glorot_uniform(rng, HIDDEN1, HIDDEN2, (HIDDEN2, HIDDEN1)),
-            b2=np.zeros(HIDDEN2),
-            w3=_glorot_uniform(rng, HIDDEN2, 1, (HIDDEN2,)),
-            b3=np.zeros(1),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in tuple(HIDDEN):
+        raise ValueError(f"unknown model kind {kind!r}")
+    rng = np.random.default_rng(seed)
+    layers = []
+    for w_shape, b_shape in _shapes(kind, n_features):
+        if HIDDEN[kind]:
+            fan_out = w_shape[0] if len(w_shape) == 2 else 1
+            w = _glorot_uniform(rng, w_shape[-1], fan_out, w_shape)
+        else:
+            w = np.zeros(w_shape)
+        layers.append((w, np.zeros(b_shape)))
+    return Model(layers)
 
 
 def _check_batch(model: Model, features: np.ndarray) -> np.ndarray:
@@ -276,59 +240,49 @@ def _clamp(z: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP)
 
 
-def _mlp_layers(model: MlpModel, X: np.ndarray):
-    """The MLP's logits for the rows of X and its hidden activations
-    (a1, h1, a2, h2)."""
-    a1 = X @ model.w1.T + model.b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ model.w2.T + model.b2
-    h2 = np.maximum(a2, 0.0)
-    return h2 @ model.w3 + model.b3[0], (a1, h1, a2, h2)
+def _layers(model: Model, X: np.ndarray):
+    """The logits for the rows of X and each hidden layer's (pre-activation,
+    activation) pair."""
+    h, hidden = X, []
+    for w, b in model.layers[:-1]:
+        a = h @ w.T + b
+        h = np.maximum(a, 0.0)
+        hidden.append((a, h))
+    w, b = model.layers[-1]
+    return h @ w + b[0], hidden
 
 
 def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
     """Positive-class probabilities for a batch, plus the activation cache.
 
-    An MLP batch of ``2 * BLOCK_ROWS`` rows or more is computed in blocks of
+    A batch of ``2 * BLOCK_ROWS`` rows or more is computed in blocks of
     ``BLOCK_ROWS`` rows and keeps no hidden activations (see ForwardCache).
     """
     X = _check_batch(model, features)
-    if model.kind == "linear":
-        z = X @ model.weights + model.bias[0]
-        prob1 = sigmoid(_clamp(z))
-        return prob1, ForwardCache(kind="linear", features=X, z=z, prob1=prob1)
     n_blocks = len(X) // BLOCK_ROWS
     if n_blocks < 2:
-        z, hidden = _mlp_layers(model, X)
+        z, hidden = _layers(model, X)
     else:
-        z, hidden = np.empty(len(X)), (None,) * 4
+        z, hidden = np.empty(len(X)), None
         # blocks start at multiples of BLOCK_ROWS; the remainder joins the last one
         edges = [k * BLOCK_ROWS for k in range(n_blocks)] + [len(X)]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            z[lo:hi] = _mlp_layers(model, X[lo:hi])[0]
+            z[lo:hi] = _layers(model, X[lo:hi])[0]
     prob1 = sigmoid(_clamp(z))
-    return prob1, ForwardCache("mlp", X, z, prob1, *hidden)
-
-
-def forward(model: Model, features) -> Prediction:
-    """Single-example forward pass yielding a two-class Prediction."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"features must be a 1-d vector, got shape {x.shape}")
-    prob1, _ = forward_batch(model, x[None, :])
-    return Prediction.from_positive_prob(float(prob1[0]))
+    return prob1, ForwardCache(X, z, prob1, hidden, len(model.layers))
 
 
 def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> GradientBuffer:
     """Exact parameter gradients given upstream d(loss)/d(prob1) per example.
 
     The cache must come from a forward pass of the same model on the same
-    batch; mismatched shapes or kinds are rejected.
+    batch; mismatched shapes or depths are rejected.
     """
     g = np.asarray(d_prob1, dtype=np.float64)
-    if cache.kind != model.kind:
+    if cache.depth != len(model.layers):
         raise ValueError(
-            f"forward cache kind {cache.kind!r} does not match model {model.kind!r}"
+            f"forward cache of a {cache.depth}-layer model does not match a "
+            f"{len(model.layers)}-layer model"
         )
     if cache.features.shape[1] != model.n_features:
         raise ValueError("forward cache does not match model feature width")
@@ -340,48 +294,18 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> GradientBuffer
     dz = g * cache.prob1 * (1.0 - cache.prob1)
     flat = np.empty(model.flat.size)
     out = _views(flat, model.layout)
-    if model.kind == "linear":
-        np.matmul(X.T, dz, out=out["weights"])
-        dz.sum(keepdims=True, out=out["bias"])
-        return GradientBuffer(out, flat, model.layout)
-    if cache.a1 is None:  # a blocked forward pass kept no activations
-        _, (a1, h1, a2, h2) = _mlp_layers(model, X)
-    else:
-        a1, h1, a2, h2 = cache.a1, cache.h1, cache.a2, cache.h2
-    da2 = (dz[:, None] * model.w3[None, :]) * (a2 > 0.0)
-    da1 = (da2 @ model.w2) * (a1 > 0.0)
-    np.matmul(da1.T, X, out=out["w1"])
-    da1.sum(axis=0, out=out["b1"])
-    np.matmul(da2.T, h1, out=out["w2"])
-    da2.sum(axis=0, out=out["b2"])
-    np.matmul(h2.T, dz, out=out["w3"])
-    dz.sum(keepdims=True, out=out["b3"])
+    grads = tuple(out.values())  # each layer's weight and bias gradient in turn
+    hidden = _layers(model, X)[1] if cache.hidden is None else cache.hidden
+    np.matmul((hidden[-1][1] if hidden else X).T, dz, out=grads[-2])
+    dz.sum(keepdims=True, out=grads[-1])
+    if hidden:
+        delta = (dz[:, None] * model.layers[-1][0][None, :]) * (hidden[-1][0] > 0.0)
+        for k in reversed(range(len(hidden))):
+            np.matmul(delta.T, hidden[k - 1][1] if k else X, out=grads[2 * k])
+            delta.sum(axis=0, out=grads[2 * k + 1])
+            if k:
+                delta = (delta @ model.layers[k][0]) * (hidden[k - 1][0] > 0.0)
     return GradientBuffer(out, flat, model.layout)
-
-
-def backward(
-    model: Model,
-    features,
-    d_loss_d_prob1: float,
-    cache: ForwardCache | None = None,
-) -> GradientBuffer:
-    """Single-example gradient of a loss with upstream derivative d_loss_d_prob1.
-
-    When no cache is supplied the matching forward pass is recomputed; a
-    supplied cache is validated against the features to reject stale
-    activations.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"features must be a 1-d vector, got shape {x.shape}")
-    if cache is None:
-        _, cache = forward_batch(model, x[None, :])
-    else:
-        if cache.features.shape != (1, x.shape[0]) or not np.array_equal(
-            cache.features[0], x
-        ):
-            raise ValueError("forward cache does not match the given features")
-    return backward_batch(model, cache, np.array([d_loss_d_prob1]))
 
 
 # Serialization: a flat JSON object {kind, n_features, <param>: row-major list}.
@@ -393,15 +317,6 @@ def model_to_dict(model: Model) -> dict:
     for name, value in model.parameters().items():
         out[name] = value.ravel(order="C").tolist()
     return out
-
-
-def _param_shapes(kind: str, n: int) -> dict[str, tuple[int, ...]]:
-    if kind == "linear":
-        return {"weights": (n,), "bias": (1,)}
-    return {
-        "w1": (HIDDEN1, n), "b1": (HIDDEN1,), "w2": (HIDDEN2, HIDDEN1),
-        "b2": (HIDDEN2,), "w3": (HIDDEN2,), "b3": (1,),
-    }
 
 
 def model_from_dict(data: dict) -> Model:
@@ -417,18 +332,20 @@ def model_from_dict(data: dict) -> Model:
         if key not in data:
             raise ValueError(f"model is missing key {key!r}")
     kind, n = data["kind"], data["n_features"]
-    if kind not in ("linear", "mlp"):
+    # a tuple: an unhashable kind (a list, say) is not in it rather than a TypeError
+    if kind not in tuple(HIDDEN):
         raise ValueError(f"unknown model kind {kind!r}")
     if type(n) is not int or n < 1:
         raise ValueError(f"n_features must be an integer >= 1, got {n!r}")
-    shapes = _param_shapes(kind, n)
+    layers = _shapes(kind, n)
+    shapes = dict(zip(_names(len(layers)), (shape for layer in layers for shape in layer)))
     problems = [f"missing key {k!r}" for k in sorted(set(shapes) - set(data))]
     problems += [
         f"unknown key {k!r}" for k in sorted(set(data) - set(shapes) - {"kind", "n_features"})
     ]
     if problems:
         raise ValueError(f"{kind} model: " + ", ".join(problems))
-    arrays = {}
+    arrays = []
     for name, shape in shapes.items():
         try:
             value = np.asarray(data[name], dtype=np.float64)
@@ -446,8 +363,8 @@ def model_from_dict(data: dict) -> Model:
             raise ValueError(f"model parameter {name!r} is not a numeric array")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"model parameter {name!r} holds non-finite values")
-        arrays[name] = value.reshape(shape)
-    return LinearModel(**arrays) if kind == "linear" else MlpModel(**arrays)
+        arrays.append(value.reshape(shape))
+    return Model(list(zip(arrays[::2], arrays[1::2])))
 
 
 def save_model(model: Model, path) -> None:

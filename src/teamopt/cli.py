@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 from . import analysis, data, exhaustive, pipeline
-from .classifiers import load_model, save_model
+from .classifiers import HIDDEN, load_model, save_model
 from .optim import TrainConfig
 from .team_model import HumanPolicy, UtilityParams
 
@@ -26,7 +26,7 @@ LOSS_NAMES = {
     "eu": "expected_utility_loss",
     "team": "team_loss",
 }
-MODEL_KINDS = ("linear", "mlp")
+MODEL_KINDS = tuple(HIDDEN)
 
 
 def _base_seed() -> int:

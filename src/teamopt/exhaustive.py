@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import LOGIT_CLAMP, LinearModel, sigmoid
+from .classifiers import LOGIT_CLAMP, Model, sigmoid
 from .data import Dataset
 from .team_model import HumanPolicy, predicted_labels, utilities
 
@@ -135,7 +135,7 @@ def exhaustive_search(
     objective: str,
     policy: HumanPolicy,
     grid: LinearGrid | None = None,
-) -> LinearModel:
+) -> Model:
     """Enumerate the grid and return the candidate maximizing the mean objective."""
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -152,9 +152,7 @@ def exhaustive_search(
     angle = grid.angles()[ai]
     s = float(grid.sharpness[si])
     direction = np.array([np.cos(angle), np.sin(angle)])
-    return LinearModel(
-        weights=s * direction, bias=np.array([-s * float(grid.offsets()[oi])])
-    )
+    return Model([(s * direction, np.array([-s * float(grid.offsets()[oi])]))])
 
 
 def _score_grid(

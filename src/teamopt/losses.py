@@ -115,8 +115,7 @@ def batch_loss(
         # overflow here just means divergence; the caller's finiteness check
         # turns it into an abort
         with np.errstate(over="ignore"):
-            for name in model.weight_names():
-                w = getattr(model, name)
+            for (w, _), (name, _, _) in zip(model.layers, model.layout[::2]):
                 # np.sum's reduction, without its Python-level dispatch
                 value += l2_weight * float(np.add.reduce(w * w, axis=None))
                 grads.data[name] += 2.0 * l2_weight * w

@@ -1,7 +1,7 @@
-"""Shared test utilities: random models, the finite-difference gradient
-oracle, the unblocked forward, per-array backward and Adam oracles, the dense
-exhaustive-search scorer, and hypothesis strategies for policies and model
-outputs."""
+"""Shared test utilities: random models, single-example forward and backward
+passes, the finite-difference gradient oracle, the unblocked forward,
+per-array backward and Adam oracles, the dense exhaustive-search scorer, and
+hypothesis strategies for policies and model outputs."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -16,7 +16,7 @@ from teamopt.classifiers import (
 )
 from teamopt.losses import batch_loss
 from teamopt.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from teamopt.team_model import HumanPolicy, UtilityParams, utilities
+from teamopt.team_model import HumanPolicy, Prediction, UtilityParams, utilities
 
 
 def random_model(kind, n_features, seed, scale=0.8):
@@ -26,6 +26,35 @@ def random_model(kind, n_features, seed, scale=0.8):
     for p in model.parameters().values():
         p += rng.normal(0.0, scale, size=p.shape)
     return model
+
+
+def forward(model, features):
+    """Single-example forward pass yielding a two-class Prediction."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"features must be a 1-d vector, got shape {x.shape}")
+    prob1, _ = forward_batch(model, x[None, :])
+    return Prediction.from_positive_prob(float(prob1[0]))
+
+
+def backward(model, features, d_loss_d_prob1, cache=None):
+    """Single-example gradient of a loss with upstream derivative d_loss_d_prob1.
+
+    When no cache is supplied the matching forward pass is recomputed; a
+    supplied cache is validated against the features to reject stale
+    activations.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"features must be a 1-d vector, got shape {x.shape}")
+    if cache is None:
+        _, cache = forward_batch(model, x[None, :])
+    else:
+        if cache.features.shape != (1, x.shape[0]) or not np.array_equal(
+            cache.features[0], x
+        ):
+            raise ValueError("forward cache does not match the given features")
+    return backward_batch(model, cache, np.array([d_loss_d_prob1]))
 
 
 def finite_difference_gradients(model, features, labels, spec, l2_weight=0.0, h=1e-5):
@@ -64,14 +93,14 @@ def unblocked_forward(model, features):
     if model.kind == "linear":
         z = X @ model.weights + model.bias[0]
         prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
-        return prob1, ForwardCache("linear", X, z, prob1)
+        return prob1, ForwardCache(X, z, prob1, [], 1)
     a1 = X @ model.w1.T + model.b1
     h1 = np.maximum(a1, 0.0)
     a2 = h1 @ model.w2.T + model.b2
     h2 = np.maximum(a2, 0.0)
     z = h2 @ model.w3 + model.b3[0]
     prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
-    return prob1, ForwardCache("mlp", X, z, prob1, a1, h1, a2, h2)
+    return prob1, ForwardCache(X, z, prob1, [(a1, h1), (a2, h2)], 3)
 
 
 def blocked_pass_mismatches(kind, n, seed=0):
@@ -103,14 +132,15 @@ def per_array_backward(model, cache, d_prob1):
     dz = d_prob1 * cache.prob1 * (1.0 - cache.prob1)
     if model.kind == "linear":
         return {"weights": X.T @ dz, "bias": np.array([dz.sum()])}
-    da2 = (dz[:, None] * model.w3[None, :]) * (cache.a2 > 0.0)
-    da1 = (da2 @ model.w2) * (cache.a1 > 0.0)
+    (a1, h1), (a2, h2) = cache.hidden
+    da2 = (dz[:, None] * model.w3[None, :]) * (a2 > 0.0)
+    da1 = (da2 @ model.w2) * (a1 > 0.0)
     return {
         "w1": da1.T @ X,
         "b1": da1.sum(axis=0),
-        "w2": da2.T @ cache.h1,
+        "w2": da2.T @ h1,
         "b2": da2.sum(axis=0),
-        "w3": cache.h2.T @ dz,
+        "w3": h2.T @ dz,
         "b3": np.array([dz.sum()]),
     }
 

@@ -18,7 +18,7 @@ from teamopt.analysis import (
     metrics_to_json,
     report,
 )
-from teamopt.classifiers import LinearModel, init_model
+from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1
 from teamopt.losses import LossSpec, batch_loss
 from teamopt.optim import TrainConfig
@@ -55,7 +55,7 @@ class TestEvaluate:
         X = np.array([[-1.0, 0.0]] * 5 + [[1.0, 0.0]] * 5)
         y = np.array([0] * 5 + [1] * 5)
         ds = Dataset(features=X, labels=y, feature_names=("a", "b"))
-        model = LinearModel(weights=np.array([600.0, 0.0]), bias=np.array([0.0]))
+        model = Model([(np.array([600.0, 0.0]), np.array([0.0]))])
         metrics = evaluate(model, ds, policy())
         assert metrics.accuracy == 1.0
         assert metrics.expected_utility == 1.0
@@ -208,7 +208,7 @@ class TestCompareReports:
         y = np.array([1, 1, 0, 0])
         logits = np.log(targets / (1.0 - targets))
         ds = Dataset(features=logits[:, None], labels=y, feature_names=("x",))
-        model = LinearModel(weights=np.array([1.0]), bias=np.array([0.0]))
+        model = Model([(np.array([1.0]), np.array([0.0]))])
         rep = report(model, ds, pol)
         # accepted: 0.76 (correct), 0.2 -> conf 0.8 (correct), 0.9 (wrong);
         # 0.74 falls in the solve band

@@ -16,16 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_array_backward, random_model
+from helpers import backward, forward, per_array_backward, random_model
 from teamopt import classifiers
 from teamopt.classifiers import (
     BLOCK_ROWS,
-    HIDDEN1,
+    HIDDEN,
     GradientBuffer,
-    LinearModel,
-    backward,
+    Model,
     backward_batch,
-    forward,
     forward_batch,
     init_model,
     load_model,
@@ -186,8 +184,11 @@ class TestBlockedInference:
     def test_activations_kept_only_for_one_block(self, n, kept):
         model = random_model("mlp", 2, seed=0)
         _, cache = forward_batch(model, np.zeros((n, 2)))
-        hidden = (cache.a1, cache.h1, cache.a2, cache.h2)
-        assert all((a is not None) == kept for a in hidden)
+        assert (cache.hidden is not None) == kept
+        if kept:
+            assert [a.shape for layer in cache.hidden for a in layer] == [
+                (n, 50), (n, 50), (n, 10), (n, 10)
+            ]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_last_row_raises_before_any_block(self, monkeypatch, bad):
@@ -195,7 +196,7 @@ class TestBlockedInference:
         X = np.zeros((3 * BLOCK_ROWS + 1, 2))
         X[-1, 1] = bad
         blocks = []
-        monkeypatch.setattr(classifiers, "_mlp_layers", lambda *args: blocks.append(args))
+        monkeypatch.setattr(classifiers, "_layers", lambda *args: blocks.append(args))
         with pytest.raises(ValueError, match="features must be finite"):
             forward_batch(model, X)
         assert blocks == []
@@ -211,7 +212,7 @@ class TestBlockedInference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n * HIDDEN1 * 8
+        assert peak < n * HIDDEN["mlp"][0] * 8
 
 
 class TestBackward:
@@ -270,6 +271,15 @@ class TestBackward:
         _, cache = forward_batch(model, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             backward(model, np.array([9.0, 9.0]), 1.0, cache=cache)
+
+    # a mini-batch cache, and a blocked one that holds no activations
+    @pytest.mark.parametrize("rows", [4, 2 * BLOCK_ROWS])
+    @pytest.mark.parametrize("made_by, given_to", [("linear", "mlp"), ("mlp", "linear")])
+    def test_cache_of_another_depth_rejected(self, made_by, given_to, rows):
+        _, cache = forward_batch(random_model(made_by, 2, seed=0), np.ones((rows, 2)))
+        model = random_model(given_to, 2, seed=0)
+        with pytest.raises(ValueError, match="forward cache of a .-layer model does not match"):
+            backward_batch(model, cache, np.ones(rows))
 
     def test_matching_cache_accepted(self):
         model = random_model("linear", 2, seed=1)
@@ -490,7 +500,7 @@ class TestFlatBuffer:
         for name, p in params.items():
             assert np.shares_memory(p, model.flat), name
             assert np.array_equal(p, kept.parameters()[name])
-        first = model.weight_names()[0]
+        first = next(iter(params))  # the first layer's weights
         before = getattr(model, first).copy()
         grads = GradientBuffer({k: np.ones_like(p) for k, p in params.items()})
         adam_step(model, grads, AdamState.for_model(model), 0.1)
@@ -504,7 +514,7 @@ class TestFlatBuffer:
 
     def test_constructor_copies_into_the_buffer(self):
         weights, bias = np.array([1.0, 2.0]), np.array([3.0])
-        model = LinearModel(weights=weights, bias=bias)
+        model = Model([(weights, bias)])
         model.weights[0] = 9.0
         assert weights[0] == 1.0
         assert model.flat.tolist() == [9.0, 2.0, 3.0]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamopt.analysis import evaluate
-from teamopt.classifiers import LinearModel
+from teamopt.classifiers import Model
 from teamopt.data import (
     BlobSpec,
     Dataset,
@@ -70,12 +70,8 @@ class TestScenario1:
         # accurate yet earns more team utility.
         ds = gen_scenario1(10000, seed=5)
         policy = HumanPolicy(UtilityParams(1.0, 0.5, 1.0))
-        soft_accurate = LinearModel(
-            weights=np.array([0.8, 0.0]), bias=np.array([0.8 * 0.5])
-        )
-        hard_cutting = LinearModel(
-            weights=np.array([16.0, 0.0]), bias=np.array([-16.0 * 0.4])
-        )
+        soft_accurate = Model([(np.array([0.8, 0.0]), np.array([0.8 * 0.5]))])
+        hard_cutting = Model([(np.array([16.0, 0.0]), np.array([-16.0 * 0.4]))])
         m_soft = evaluate(soft_accurate, ds, policy)
         m_hard = evaluate(hard_cutting, ds, policy)
         assert m_soft.accuracy > m_hard.accuracy

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_score_grid, policies, unchecked_params
 from teamopt.analysis import evaluate
-from teamopt.classifiers import LinearModel, init_model
+from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
 from teamopt.exhaustive import (
     BLOCK_ROWS,
@@ -141,7 +141,7 @@ class TestExhaustiveSearch:
             u = np.array([np.cos(angle), np.sin(angle)])
             for offset in grid.offsets():
                 for s in grid.sharpness:
-                    candidate = LinearModel(weights=s * u, bias=np.array([-s * offset]))
+                    candidate = Model([(s * u, np.array([-s * offset]))])
                     score = evaluate(candidate, small_scenario, pol).expected_utility
                     assert best >= score - 1e-12
 

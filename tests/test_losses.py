@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     finite_difference_gradients,
+    forward,
     max_relative_error,
     outputs,
     policies,
     random_model,
 )
-from teamopt.classifiers import forward, init_model
+from teamopt.classifiers import init_model
 from teamopt.losses import LossSpec, batch_loss, per_example_loss
 from teamopt.team_model import (
     HumanPolicy,

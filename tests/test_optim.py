@@ -40,7 +40,8 @@ class TestAdam:
         model = random_model("linear", 3, seed=0)
         before = {k: v.copy() for k, v in model.parameters().items()}
         state = AdamState.for_model(model)
-        adam_step(model, GradientBuffer.zeros_like(model), state, 0.1)
+        zeros = GradientBuffer({k: np.zeros_like(p) for k, p in before.items()})
+        adam_step(model, zeros, state, 0.1)
         assert state.step == 1
         for name, p in model.parameters().items():
             assert np.array_equal(p, before[name])
