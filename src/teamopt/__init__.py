@@ -19,7 +19,6 @@ from .analysis import (
     report,
 )
 from .classifiers import (
-    GradientBuffer,
     Model,
     forward_batch,
     init_model,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,11 +57,7 @@ class Metrics:
     empirical_utility: float
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "expected_utility": self.expected_utility,
-            "empirical_utility": self.empirical_utility,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "Model",
-    "GradientBuffer",
     "ForwardCache",
     "sigmoid",
     "init_model",
@@ -70,30 +69,6 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 Layout = tuple[tuple[str, slice, tuple[int, ...] | None], ...]
 
 
-def _layout(arrays: dict[str, np.ndarray]) -> Layout:
-    """The layout of the arrays packed one after another."""
-    layout, offset = [], 0
-    for name, a in arrays.items():
-        layout.append((name, slice(offset, offset + a.size), a.shape if a.ndim > 1 else None))
-        offset += a.size
-    return tuple(layout)
-
-
-def _views(flat: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
-    """Views of ``flat`` at the places the layout gives."""
-    views = {}
-    for name, where, shape in layout:
-        # reshape only matrices: it costs more than the slice on every step
-        views[name] = flat[where] if shape is None else flat[where].reshape(shape)
-    return views
-
-
-def _pack(arrays: dict) -> tuple[np.ndarray, Layout]:
-    """Copy arrays into one contiguous float64 buffer; returns it and its layout."""
-    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-    return np.concatenate([a.ravel() for a in arrays.values()]), _layout(arrays)
-
-
 def _names(depth: int) -> tuple[str, ...]:
     """Parameter names of a stack of ``depth`` layers, in ``flat`` order."""
     if depth == 1:
@@ -115,62 +90,59 @@ class Model:
     an (in,) weight and a (1,) bias. The linear model is the stack with no
     hidden layers. The parameters are views of ``flat``, one float64 buffer
     in ``parameters()`` order that an optimizer updates in one pass, placed
-    by ``layout``, which gradient buffers share; they are also named fields,
-    ``weights``/``bias`` for the linear model and ``w1``, ``b1``, ... for
-    deeper ones. The constructor copies its arguments into the buffer;
-    pickle and deepcopy rebuild through it, which keeps the views attached.
+    by ``layout``; they are also named fields, ``weights``/``bias`` for the
+    linear model and ``w1``, ``b1``, ... for deeper ones. A gradient is a
+    Model too, with the layout of the model it belongs to, so binding a
+    buffer builds only the views in ``layers``: one is made every training
+    step. The constructor copies its arguments into the buffer; pickle and
+    deepcopy rebuild through it, which keeps the views attached.
     """
 
     def __init__(self, layers) -> None:
-        arrays = [a for layer in layers for a in layer]
-        self._bind(*_pack(dict(zip(_names(len(layers)), arrays))))
+        arrays = [np.asarray(a, dtype=np.float64) for layer in layers for a in layer]
+        layout, offset = [], 0
+        for name, a in zip(_names(len(layers)), arrays):
+            layout.append((name, slice(offset, offset + a.size), a.shape if a.ndim > 1 else None))
+            offset += a.size
+        self._bind(np.concatenate([a.ravel() for a in arrays]), tuple(layout))
 
     def _bind(self, flat: np.ndarray, layout: Layout) -> "Model":
         self.flat = flat
         self.layout = layout
-        views = _views(flat, layout)
-        self.__dict__.update(views)
-        params = tuple(views.values())
-        self.layers = tuple(zip(params[::2], params[1::2]))
-        self.n_features = self.layers[0][0].shape[-1]
-        widths = tuple(b.size for _, b in self.layers[:-1])
-        # None for a stack of widths no kind has
-        self.kind = next((k for k, w in HIDDEN.items() if w == widths), None)
+        layers, entries = [], iter(layout)
+        for (_, w_at, w_shape), (_, b_at, _) in zip(entries, entries):
+            # biases are vectors; reshape only matrices, as it costs more than a slice
+            w = flat[w_at] if w_shape is None else flat[w_at].reshape(w_shape)
+            layers.append((w, flat[b_at]))
+        self.layers = tuple(layers)
         return self
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        # the named fields; reached only for names that are not attributes
+        params = self.parameters() if "layers" in self.__dict__ else {}
+        if name not in params:
+            raise AttributeError(f"'Model' object has no attribute {name!r}")
+        return params[name]
+
+    @property
+    def n_features(self) -> int:
+        return self.layers[0][0].shape[-1]
+
+    @property
+    def kind(self) -> str | None:
+        """The kind whose hidden widths the stack has; None if no kind has them."""
+        widths = tuple(b.size for _, b in self.layers[:-1])
+        return next((k for k, w in HIDDEN.items() if w == widths), None)
+
     def parameters(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name, _, _ in self.layout}
+        names = (name for name, _, _ in self.layout)
+        return dict(zip(names, (p for layer in self.layers for p in layer)))
 
     def copy(self) -> "Model":
         return object.__new__(Model)._bind(self.flat.copy(), self.layout)
 
     def __reduce__(self):
         return Model, (self.layers,)
-
-
-@dataclass
-class GradientBuffer:
-    """Per-parameter gradients, laid out in one flat buffer like a model's.
-
-    ``data`` maps parameter names to views of ``flat``, placed by ``layout``;
-    a dict given without ``flat`` is copied into a fresh buffer in its own
-    key order.
-    """
-
-    data: dict[str, np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False)
-    layout: Layout | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.flat is None:
-            self.flat, self.layout = _pack(self.data)
-            self.data = _views(self.flat, self.layout)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.data[name]
-
-    def items(self):
-        return self.data.items()
 
 
 @dataclass
@@ -272,8 +244,9 @@ def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
     return prob1, ForwardCache(X, z, prob1, hidden, len(model.layers))
 
 
-def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> GradientBuffer:
-    """Exact parameter gradients given upstream d(loss)/d(prob1) per example.
+def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> Model:
+    """Exact parameter gradients given upstream d(loss)/d(prob1) per example,
+    as a Model with ``model``'s layout over a fresh buffer.
 
     The cache must come from a forward pass of the same model on the same
     batch; mismatched shapes or depths are rejected.
@@ -292,20 +265,20 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> GradientBuffer
         )
     X = cache.features
     dz = g * cache.prob1 * (1.0 - cache.prob1)
-    flat = np.empty(model.flat.size)
-    out = _views(flat, model.layout)
-    grads = tuple(out.values())  # each layer's weight and bias gradient in turn
+    grads = object.__new__(Model)._bind(np.empty(model.flat.size), model.layout)
     hidden = _layers(model, X)[1] if cache.hidden is None else cache.hidden
-    np.matmul((hidden[-1][1] if hidden else X).T, dz, out=grads[-2])
-    dz.sum(keepdims=True, out=grads[-1])
+    dw, db = grads.layers[-1]
+    np.matmul((hidden[-1][1] if hidden else X).T, dz, out=dw)
+    dz.sum(keepdims=True, out=db)
     if hidden:
         delta = (dz[:, None] * model.layers[-1][0][None, :]) * (hidden[-1][0] > 0.0)
         for k in reversed(range(len(hidden))):
-            np.matmul(delta.T, hidden[k - 1][1] if k else X, out=grads[2 * k])
-            delta.sum(axis=0, out=grads[2 * k + 1])
+            dw, db = grads.layers[k]
+            np.matmul(delta.T, hidden[k - 1][1] if k else X, out=dw)
+            delta.sum(axis=0, out=db)
             if k:
                 delta = (delta @ model.layers[k][0]) * (hidden[k - 1][0] > 0.0)
-    return GradientBuffer(out, flat, model.layout)
+    return grads
 
 
 # Serialization: a flat JSON object {kind, n_features, <param>: row-major list}.

@@ -30,8 +30,17 @@ MODEL_KINDS = tuple(HIDDEN)
 
 
 def _base_seed() -> int:
+    """TEAMOPT_SEED, or 0 when it is unset or empty."""
     env = os.environ.get("TEAMOPT_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"TEAMOPT_SEED must be an integer >= 0, got {env!r}")
+    return seed
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
@@ -56,10 +65,7 @@ _TRAIN_DEFAULTS = {"lr": 0.1, "l2": 1e-3, "batch": 32, "decay": 0.1, "patience":
 
 def _fits(default, value) -> bool:
     """Whether a config value can stand in for its default: an int default
-    takes an int and a float default an int or a float, neither a bool; a
-    tuple or list default takes a list of its first element's type."""
-    if isinstance(default, (tuple, list)):
-        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    takes an int and a float default an int or a float, neither a bool."""
     if isinstance(value, bool) and not isinstance(default, bool):
         return False
     if isinstance(default, float):
@@ -118,16 +124,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return merged
 
 
-def _write_resolved(out_dir: Path, resolved: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    clean = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in resolved.items()
-        if k != "func"
-    }
-    (out_dir / "config.resolved.json").write_text(
-        json.dumps(clean, indent=2, sort_keys=True) + "\n"
-    )
+def _write_resolved(path: Path, resolved: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
 def _policy(resolved: dict) -> HumanPolicy:
@@ -176,9 +175,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_csv(ds, out)
     # the output here is a file, so the resolved config sits next to it
-    Path(f"{out}.config.resolved.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"
-    )
+    _write_resolved(Path(f"{out}.config.resolved.json"), resolved)
     print(
         f"wrote {out}: n={ds.n_examples} features={ds.n_features} "
         f"positive_fraction={ds.positive_fraction:.4f}"
@@ -205,8 +202,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     policy = _policy(resolved)
     config = _train_config(resolved)
     warm_model = _load_model_for(resolved["warm_start"], dataset) if warm_start else None
+    if warm_model is not None and warm_model.kind != resolved["model"]:
+        raise ValueError(
+            f"{resolved['warm_start']}: warm-start model is of kind {warm_model.kind!r}, "
+            f"not the --model {resolved['model']!r}"
+        )
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
+    _write_resolved(out_dir / "config.resolved.json", resolved)
 
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
@@ -267,7 +269,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model_for(resolved["model_file"], dataset)
     policy = _policy(resolved)
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
+    _write_resolved(out_dir / "config.resolved.json", resolved)
     metrics = analysis.evaluate(model, dataset, policy)
     analysis.metrics_to_json(metrics, out_dir / "metrics.json")
     curves = analysis.behavior_curves(model, dataset, policy, n_bins=resolved["bins"])
@@ -300,7 +302,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     top2 = exhaustive.select_top2_features(dataset)
     dataset2d = data.select_features(dataset, top2)
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
+    _write_resolved(out_dir / "config.resolved.json", resolved)
 
     scored = pipeline.fan_out(
         partial(
@@ -342,7 +344,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for beta in beta_values:
             UtilityParams(beta=beta, lam=resolved["lam"], human_accuracy=a)
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
+    _write_resolved(out_dir / "config.resolved.json", resolved)
     points = pipeline.sweep(
         dataset,
         resolved["model"],
@@ -380,7 +382,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     team_model = _load_model_for(resolved["team_model"], dataset)
     policy = _policy(resolved)
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir, resolved)
+    _write_resolved(out_dir / "config.resolved.json", resolved)
     baseline = analysis.report(baseline_model, dataset, policy, n_bins=resolved["bins"])
     team = analysis.report(team_model, dataset, policy, n_bins=resolved["bins"])
     diff = analysis.compare_reports(baseline, team)

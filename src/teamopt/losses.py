@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import GradientBuffer, Model, backward_batch, forward_batch
+from .classifiers import Model, backward_batch, forward_batch
 from .team_model import HumanPolicy, true_label_probs, utilities
 
 __all__ = [
@@ -91,12 +91,12 @@ def batch_loss(
     labels,
     spec: LossSpec,
     l2_weight: float = 0.0,
-) -> tuple[float, GradientBuffer]:
+) -> tuple[float, Model]:
     """Mean per-example loss plus l2_weight*||weights||^2 (biases excluded).
 
     Returns the scalar value and the exact gradient with respect to every
-    model parameter. The reduction order is fixed, so results are
-    reproducible for identical inputs.
+    model parameter, as a Model laid out like ``model``. The reduction order
+    is fixed, so results are reproducible for identical inputs.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -115,8 +115,8 @@ def batch_loss(
         # overflow here just means divergence; the caller's finiteness check
         # turns it into an abort
         with np.errstate(over="ignore"):
-            for (w, _), (name, _, _) in zip(model.layers, model.layout[::2]):
+            for (w, _), (dw, _) in zip(model.layers, grads.layers):
                 # np.sum's reduction, without its Python-level dispatch
                 value += l2_weight * float(np.add.reduce(w * w, axis=None))
-                grads.data[name] += 2.0 * l2_weight * w
+                dw += 2.0 * l2_weight * w
     return value, grads

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import GradientBuffer, Model, forward_batch
+from .classifiers import Model, forward_batch
 from .data import Dataset
 from .losses import LossSpec, batch_loss
 from .team_model import expected_utilities, predicted_labels
@@ -57,20 +57,17 @@ class AdamState:
 
 def adam_step(
     model: Model,
-    grads: GradientBuffer,
+    grads: Model,
     state: AdamState,
     learning_rate: float,
 ) -> tuple[Model, AdamState]:
-    """One bias-corrected Adam update of the whole flat buffer, in place;
-    returns (model, state)."""
-    if grads.layout == model.layout:
-        g = grads.flat
-    else:
-        shapes = {k: p.shape for k, p in model.parameters().items()}
-        if {k: g.shape for k, g in grads.items()} != shapes:
-            raise ValueError(f"gradient buffer does not match model parameters {shapes}")
-        # a gradient dict given in another key order was packed in that order
-        g = np.concatenate([grads[k].ravel() for k in shapes])
+    """One bias-corrected Adam update of the whole flat buffer, in place,
+    given gradients laid out like the model; returns (model, state)."""
+    if grads.layout != model.layout:
+        raise ValueError(
+            f"gradient layout {grads.layout} does not match model parameters {model.layout}"
+        )
+    g = grads.flat
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t

@@ -21,7 +21,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -201,21 +201,12 @@ class SeedOutcome:
     team_val_gain: float
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "baseline": self.baseline.to_dict(),
-            "team": self.team.to_dict(),
-            "delta": self.delta.to_dict(),
-            "team_val_gain": self.team_val_gain,
-        }
+        return asdict(self)
 
 
 def _mean_metrics(items: list[Metrics]) -> Metrics:
-    return Metrics(
-        accuracy=float(np.mean([m.accuracy for m in items])),
-        expected_utility=float(np.mean([m.expected_utility for m in items])),
-        empirical_utility=float(np.mean([m.empirical_utility for m in items])),
-    )
+    # one mean per 1-d column: a 2-d mean over axis 0 sums in another order
+    return Metrics(*(float(np.mean(column)) for column in zip(*map(astuple, items))))
 
 
 @dataclass(frozen=True)
@@ -233,32 +224,13 @@ class ExperimentReport:
     mean_delta: Metrics
 
     def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "params": {
-                "beta": self.params.beta,
-                "lam": self.params.lam,
-                "human_accuracy": self.params.human_accuracy,
-                "accept_threshold": self.params.accept_threshold,
-            },
-            "accept_probability": self.accept_probability,
-            "n_seeds": self.n_seeds,
-            "baseline_config": vars(self.baseline_config).copy(),
-            "team_config": vars(self.team_config).copy(),
-            "team_loss_kind": self.team_loss_kind,
-            "per_seed": [s.to_dict() for s in self.per_seed],
-            "mean_baseline": self.mean_baseline.to_dict(),
-            "mean_team": self.mean_team.to_dict(),
-            "mean_delta": self.mean_delta.to_dict(),
-        }
+        out = asdict(self)
+        out["params"]["accept_threshold"] = self.params.accept_threshold
+        return out
 
 
 def _delta(team: Metrics, baseline: Metrics) -> Metrics:
-    return Metrics(
-        accuracy=team.accuracy - baseline.accuracy,
-        expected_utility=team.expected_utility - baseline.expected_utility,
-        empirical_utility=team.empirical_utility - baseline.empirical_utility,
-    )
+    return Metrics(*(t - b for t, b in zip(astuple(team), astuple(baseline))))
 
 
 def train_reference(
@@ -382,6 +354,11 @@ def run_experiment(
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if baseline_model is not None and baseline_model.kind != model_kind:
+        raise ValueError(
+            f"baseline model of kind {baseline_model.kind!r} does not match "
+            f"model_kind {model_kind!r}"
+        )
     policy = HumanPolicy(params=params, accept_probability=accept_probability)
     if grid is not None:
         outer_seed = derive_seeds(seed, 1)[0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from teamopt.classifiers import (
     LOGIT_CLAMP,
     ForwardCache,
+    Model,
     backward_batch,
     forward_batch,
     init_model,
@@ -113,7 +114,7 @@ def blocked_pass_mismatches(kind, n, seed=0):
     d_prob1 = rng.normal(size=n)
     prob1, cache = forward_batch(model, X)
     want_prob1, want_cache = unblocked_forward(model, X)
-    got = {"prob1": prob1, "z": cache.z, **backward_batch(model, cache, d_prob1).data}
+    got = {"prob1": prob1, "z": cache.z, **backward_batch(model, cache, d_prob1).parameters()}
     want = {
         "prob1": want_prob1, "z": want_cache.z,
         **per_array_backward(model, want_cache, d_prob1),
@@ -143,6 +144,13 @@ def per_array_backward(model, cache, d_prob1):
         "w3": h2.T @ dz,
         "b3": np.array([dz.sum()]),
     }
+
+
+def model_of(arrays):
+    """A model holding the given arrays, one per parameter in ``parameters()``
+    order: a gradient laid out like any model of that kind and width."""
+    arrays = list(arrays)
+    return Model(list(zip(arrays[::2], arrays[1::2])))
 
 
 def per_array_adam_step(params, grads, m, v, step, learning_rate):

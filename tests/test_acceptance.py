@@ -112,7 +112,7 @@ def test_criterion_3_gradient_fidelity():
                 model, x, y = TestGradientFidelity.sample_case(rng, model_kind, policy)
                 _, grads = batch_loss(model, x[None, :], np.array([y]), spec)
                 numeric = finite_difference_gradients(model, x[None, :], np.array([y]), spec)
-                assert max_relative_error(grads.data, numeric) < 1e-4
+                assert max_relative_error(grads.parameters(), numeric) < 1e-4
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     note(3, f"120 finite-difference checks within 1e-4 in {elapsed:.1f}s")

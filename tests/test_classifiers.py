@@ -21,7 +21,6 @@ from teamopt import classifiers
 from teamopt.classifiers import (
     BLOCK_ROWS,
     HIDDEN,
-    GradientBuffer,
     Model,
     backward_batch,
     forward_batch,
@@ -248,7 +247,7 @@ class TestBackward:
             upstream = float(rng.normal())
             analytic = backward(model, x, upstream)
             numeric = self._fd_oracle(model, x, upstream)
-            assert self._max_rel_err(dict(analytic.items()), numeric) < 1e-6
+            assert self._max_rel_err(analytic.parameters(), numeric) < 1e-6
 
     def test_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -258,12 +257,12 @@ class TestBackward:
             upstream = float(rng.normal())
             analytic = backward(model, x, upstream)
             numeric = self._fd_oracle(model, x, upstream)
-            assert self._max_rel_err(dict(analytic.items()), numeric) < 1e-4
+            assert self._max_rel_err(analytic.parameters(), numeric) < 1e-4
 
     def test_zero_upstream_gives_zero_gradient(self):
         model = random_model("mlp", 2, seed=0)
         grads = backward(model, np.array([0.4, -1.2]), 0.0)
-        for g in grads.data.values():
+        for g in grads.parameters().values():
             assert np.all(g == 0.0)
 
     def test_stale_cache_rejected(self):
@@ -287,8 +286,8 @@ class TestBackward:
         _, cache = forward_batch(model, x[None, :])
         fresh = backward(model, x, 0.7)
         cached = backward(model, x, 0.7, cache=cache)
-        for name, g in fresh.items():
-            assert np.array_equal(g, cached[name])
+        for name, g in fresh.parameters().items():
+            assert np.array_equal(g, getattr(cached, name))
 
 
     @settings(max_examples=100, deadline=None)
@@ -307,11 +306,15 @@ class TestBackward:
         _, cache = forward_batch(model, X)
         grads = backward_batch(model, cache, d_prob1)
         want = per_array_backward(model, cache, d_prob1)
-        assert list(grads.data) == list(want)
-        for name, w in want.items():
-            assert grads[name].shape == w.shape
-            assert np.array_equal(grads[name].view(np.int64), w.view(np.int64))
-            assert np.shares_memory(grads[name], grads.flat)
+        assert grads.layout == model.layout
+        assert list(grads.parameters()) == list(want)
+        views = [v for layer in grads.layers for v in layer]
+        for (name, w), view in zip(want.items(), views):
+            g = getattr(grads, name)
+            assert g is view
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+            assert np.shares_memory(g, grads.flat)
 
 
 class TestMonotonicity:
@@ -502,7 +505,7 @@ class TestFlatBuffer:
             assert np.array_equal(p, kept.parameters()[name])
         first = next(iter(params))  # the first layer's weights
         before = getattr(model, first).copy()
-        grads = GradientBuffer({k: np.ones_like(p) for k, p in params.items()})
+        grads = Model([(np.ones_like(w), np.ones_like(b)) for w, b in model.layers])
         adam_step(model, grads, AdamState.for_model(model), 0.1)
         assert np.all(getattr(model, first) != before)
         assert np.array_equal(
@@ -518,9 +521,3 @@ class TestFlatBuffer:
         model.weights[0] = 9.0
         assert weights[0] == 1.0
         assert model.flat.tolist() == [9.0, 2.0, 3.0]
-
-    def test_gradient_buffer_from_dict_keeps_its_order(self):
-        grads = GradientBuffer({"bias": np.array([1.0]), "weights": np.array([2.0, 3.0])})
-        assert grads.flat.tolist() == [1.0, 2.0, 3.0]
-        grads["weights"][0] = 7.0
-        assert grads.flat.tolist() == [1.0, 7.0, 3.0]

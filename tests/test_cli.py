@@ -1,6 +1,5 @@
 """End-to-end checks of the command-line interface."""
 
-import argparse
 import csv
 import json
 import tempfile
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamopt import cli
+from teamopt.classifiers import init_model, save_model
 from teamopt.cli import main
 
 
@@ -49,6 +49,15 @@ class TestGenData:
         run(["gen-data", "--kind", "moons", "--n", "200", "--out", str(a)])
         run(["gen-data", "--kind", "moons", "--n", "200", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["abc", "-3"])
+    def test_bad_env_seed_writes_nothing(self, tmp_path, monkeypatch, capsys, seed):
+        monkeypatch.setenv("TEAMOPT_SEED", seed)
+        out = tmp_path / "d" / "m.csv"
+        assert run(["gen-data", "--kind", "moons", "--n", "200", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: TEAMOPT_SEED must be an integer >= 0, got {seed!r}\n"
+        assert not out.parent.exists()
 
     def test_resolved_config_written_next_to_csv(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -261,7 +270,7 @@ class TestConfigMerging:
         flags = _settings(data.draw, keys)
         resolved = _resolve_train(flags)
         with tempfile.TemporaryDirectory() as tmp:
-            cli._write_resolved(Path(tmp), resolved)
+            cli._write_resolved(Path(tmp) / "config.resolved.json", resolved)
             written = json.loads((Path(tmp) / "config.resolved.json").read_text())
         assert _resolve_train({}, written) == resolved
 
@@ -304,20 +313,6 @@ class TestConfigMerging:
         resolved = _resolve_train({}, {"lr": 1, "beta": 2})
         assert (resolved["lr"], resolved["beta"]) == (1, 2)
         assert type(resolved["lr"]) is int
-
-    @pytest.mark.parametrize(
-        "value, ok",
-        [([0.5, 2], True), ([], True), ([0.5, "x"], False), ([True], False), (0.5, False)],
-    )
-    def test_list_default_takes_a_list_of_its_element_type(self, tmp_path, value, ok):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"widths": value}))
-        args = argparse.Namespace(command="train", config=str(cfg))
-        if ok:
-            assert cli._resolve(args, {"widths": (1.0,)})["widths"] == value
-        else:
-            with pytest.raises(ValueError, match="cfg.json: 'widths' must be of type tuple"):
-                cli._resolve(args, {"widths": (1.0,)})
 
     @pytest.mark.parametrize("contents", [[], 3, "train", False])
     def test_non_object_file_is_rejected(self, contents):
@@ -461,6 +456,23 @@ class TestRejectedCommandsWriteNothing:
         argv = _argv("train", str(moons_csv), tmp_path)
         argv += ["--warm-start", str(_model_file(tmp_path, 3))]
         self._rejected(argv, tmp_path, capsys, "model takes 3 features")
+
+    @pytest.mark.parametrize("saved, flag", [("mlp", "linear"), ("linear", "mlp")])
+    def test_warm_start_of_another_kind(self, moons_csv, tmp_path, capsys, saved, flag):
+        path = tmp_path / f"{saved}.json"
+        save_model(init_model(saved, 2), path)
+        argv = _argv("train", str(moons_csv), tmp_path)
+        argv += ["--model", flag, "--warm-start", str(path)]
+        message = f"{path}: warm-start model is of kind {saved!r}, not the --model {flag!r}"
+        self._rejected(argv, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("command", ["train", "exhaustive", "sweep"])
+    @pytest.mark.parametrize("seed", ["abc", "-3"])
+    def test_bad_env_seed(self, moons_csv, tmp_path, capsys, monkeypatch, command, seed):
+        monkeypatch.setenv("TEAMOPT_SEED", seed)
+        argv = _argv(command, str(moons_csv), tmp_path)
+        message = f"TEAMOPT_SEED must be an integer >= 0, got {seed!r}"
+        self._rejected(argv, tmp_path, capsys, message)
 
     @pytest.mark.parametrize("command", ["train", "exhaustive", "sweep"])
     @pytest.mark.parametrize("seed", ["x", 1.5, -1])

@@ -181,7 +181,7 @@ class TestBatchLoss:
         value_w, grads_w = batch_loss(model, X, y, LossSpec("log_loss"), l2_weight=1.0)
         model.weights[:] = [2.0, 0.0]
         value2, grads2 = batch_loss(model, X, y, LossSpec("log_loss"), l2_weight=1.0)
-        assert grads2["weights"][0] == pytest.approx(2.0 * 1.0 * 2.0, abs=1e-12)
+        assert grads2.weights[0] == pytest.approx(2.0 * 1.0 * 2.0, abs=1e-12)
 
     def test_solve_region_gradients_exactly_zero(self):
         # zero-init model predicts 0.5 < threshold everywhere
@@ -190,7 +190,7 @@ class TestBatchLoss:
         y = np.random.default_rng(6).integers(0, 2, 16)
         for kind in ("expected_utility_loss", "team_loss"):
             _, grads = batch_loss(model, X, y, LossSpec(kind, policy()))
-            for g in grads.data.values():
+            for g in grads.parameters().values():
                 assert np.all(g == 0.0)
 
 
@@ -227,4 +227,4 @@ class TestGradientFidelity:
             numeric = finite_difference_gradients(
                 model, x[None, :], np.array([y]), spec, l2_weight=0.0
             )
-            assert max_relative_error(grads.data, numeric) < 1e-4
+            assert max_relative_error(grads.parameters(), numeric) < 1e-4

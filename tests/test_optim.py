@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_array_adam_step, random_model
-from teamopt.classifiers import GradientBuffer, init_model
+from helpers import model_of, per_array_adam_step, random_model
+from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
 from teamopt.losses import LossSpec
 from teamopt.optim import (
@@ -40,7 +40,7 @@ class TestAdam:
         model = random_model("linear", 3, seed=0)
         before = {k: v.copy() for k, v in model.parameters().items()}
         state = AdamState.for_model(model)
-        zeros = GradientBuffer({k: np.zeros_like(p) for k, p in before.items()})
+        zeros = model_of(np.zeros_like(p) for p in before.values())
         adam_step(model, zeros, state, 0.1)
         assert state.step == 1
         for name, p in model.parameters().items():
@@ -51,7 +51,7 @@ class TestAdam:
         before = model.weights.copy()
         rng = np.random.default_rng(2)
         g = rng.uniform(0.5, 1.5, 4) * rng.choice([-1.0, 1.0], 4)
-        grads = GradientBuffer({"weights": g, "bias": np.array([1.0])})
+        grads = Model([(g, np.array([1.0]))])
         adam_step(model, grads, AdamState.for_model(model), 0.01)
         delta = model.weights - before
         np.testing.assert_allclose(delta, -0.01 * np.sign(g), atol=0.01 * 1e-4)
@@ -62,9 +62,7 @@ class TestAdam:
             state = AdamState.for_model(model)
             rng = np.random.default_rng(4)
             for _ in range(10):
-                grads = GradientBuffer(
-                    {k: rng.normal(size=v.shape) for k, v in model.parameters().items()}
-                )
+                grads = model_of(rng.normal(size=v.shape) for v in model.parameters().values())
                 adam_step(model, grads, state, 0.05)
             return model
 
@@ -74,7 +72,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         model = init_model("linear", 2)
-        bad = GradientBuffer({"weights": np.zeros(3), "bias": np.zeros(1)})
+        bad = Model([(np.zeros(3), np.zeros(1))])
         with pytest.raises(ValueError):
             adam_step(model, bad, AdamState.for_model(model), 0.1)
 
@@ -102,9 +100,7 @@ class TestAdam:
                 k: rng.normal(0.0, scale, p.shape) * (rng.random(p.shape) < 0.8)
                 for k, p in params.items()
             }
-            if data.draw(st.booleans()):
-                grads = dict(reversed(grads.items()))
-            adam_step(model, GradientBuffer(grads), state, lr)
+            adam_step(model, model_of(grads.values()), state, lr)
             per_array_adam_step(params, grads, m, v, step, lr)
         assert state.step == steps
         for name, p in model.parameters().items():
@@ -113,9 +109,10 @@ class TestAdam:
             want = np.concatenate([a.ravel() for a in per_array.values()])
             assert np.array_equal(flat.view(np.int64), want.view(np.int64))
 
-    def test_unknown_gradient_name_rejected(self):
+    @pytest.mark.parametrize("kind, n_features", [("linear", 3), ("mlp", 2)])
+    def test_gradient_layout_mismatch_rejected(self, kind, n_features):
         model = init_model("linear", 2)
-        bad = GradientBuffer({"weights": np.zeros(2), "b": np.zeros(1)})
+        bad = init_model(kind, n_features)
         with pytest.raises(ValueError, match="does not match model parameters"):
             adam_step(model, bad, AdamState.for_model(model), 0.1)
 

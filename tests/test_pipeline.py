@@ -219,6 +219,15 @@ class TestRunExperiment:
         pol = HumanPolicy(params)
         assert rep.per_seed[0].baseline == evaluate(fixed, test, pol)
 
+    @pytest.mark.parametrize("given, declared", [("mlp", "linear"), ("linear", "mlp")])
+    def test_supplied_baseline_model_of_another_kind_rejected(self, given, declared):
+        ds = gen_scenario1(200, seed=16)
+        with pytest.raises(ValueError, match=f"baseline model of kind {given!r} does not match"):
+            run_experiment(
+                ds, declared, UtilityParams(1.0, 0.5, 1.0), n_seeds=1,
+                baseline_model=init_model(given, 2),
+            )
+
     def test_report_json(self, tmp_path):
         ds = gen_moons(600, seed=12)
         rep = run_experiment(
