@@ -54,16 +54,6 @@ from .pipeline import (
     run_experiment,
     sweep,
 )
-from .team_model import (
-    HumanPolicy,
-    MetaDecision,
-    Prediction,
-    UtilityParams,
-    accept_threshold,
-    empirical_utility,
-    expected_utility,
-    meta_decision,
-    payoff,
-)
+from .team_model import HumanPolicy, UtilityParams
 
 __version__ = "0.1.0"

@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Metrics:
-    """Aggregate test metrics; empirical utility uses expectation mode."""
+    """Aggregate test metrics."""
 
     accuracy: float
     expected_utility: float
@@ -108,7 +108,7 @@ def _model_outputs(model: Model, dataset: Dataset) -> np.ndarray:
 
 
 def evaluate(model: Model, dataset: Dataset, policy: HumanPolicy) -> Metrics:
-    """Accuracy, mean expected utility, and mean expectation-mode payoff."""
+    """Accuracy, mean expected utility, and mean empirical utility."""
     prob1 = _model_outputs(model, dataset)
     y = dataset.labels
     return Metrics(

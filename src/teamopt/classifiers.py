@@ -286,6 +286,11 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> Model:
 
 
 def model_to_dict(model: Model) -> dict:
+    """Raises ValueError for a stack whose hidden widths no kind in ``HIDDEN``
+    has, since a model file names its kind and not its widths."""
+    if model.kind is None:
+        widths = tuple(b.size for _, b in model.layers[:-1])
+        raise ValueError(f"no model kind has the hidden widths {widths}: {HIDDEN}")
     out: dict = {"kind": model.kind, "n_features": model.n_features}
     for name, value in model.parameters().items():
         out[name] = value.ravel(order="C").tolist()

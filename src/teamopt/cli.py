@@ -208,10 +208,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"not the --model {resolved['model']!r}"
         )
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
-
     models_dir = out_dir / "models"
-    models_dir.mkdir(exist_ok=True)
     if loss_kind == "log_loss":
         runs = pipeline.fan_out(
             partial(
@@ -221,6 +218,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             _seeds(resolved),
             resolved["jobs"],
         )
+        _write_resolved(out_dir / "config.resolved.json", resolved)
+        models_dir.mkdir(exist_ok=True)
         for s, (model, _) in enumerate(runs):
             save_model(model, models_dir / f"baseline_seed{s}.json")
         outcomes = [metrics.to_dict() for _, metrics in runs]
@@ -237,13 +236,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         n_seeds=resolved["seeds"],
         accept_probability=resolved["accept_probability"],
         baseline_config=config,
-        team_config=config,
         team_loss_kind=loss_kind,
         seed=resolved["seed"],
         return_models=True,
         baseline_model=warm_model,
         jobs=resolved["jobs"],
     )
+    _write_resolved(out_dir / "config.resolved.json", resolved)
+    models_dir.mkdir(exist_ok=True)
     pipeline.report_to_json(report, out_dir / "report.json")
     for s, (baseline, team) in enumerate(models):
         save_model(baseline, models_dir / f"baseline_seed{s}.json")
@@ -301,9 +301,6 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     )
     top2 = exhaustive.select_top2_features(dataset)
     dataset2d = data.select_features(dataset, top2)
-    out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
-
     scored = pipeline.fan_out(
         partial(
             pipeline.mismatch_seed, dataset=dataset2d, policy=policy, config=config, grid=grid
@@ -318,6 +315,8 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     mean_row = {"dataset": resolved["dataset_name"]}
     for key in ("eu_logloss", "emp_logloss", "delta_eu_a", "delta_emp_b", "delta_emp_c"):
         mean_row[key] = float(sum(r[key] for r in rows) / len(rows))
+    out_dir = Path(resolved["out"])
+    _write_resolved(out_dir / "config.resolved.json", resolved)
     exhaustive.write_mismatch_csv([mean_row], out_dir / "mismatch.csv")
     exhaustive.write_mismatch_csv(rows, out_dir / "mismatch_per_seed.csv")
     print(
@@ -343,8 +342,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for a in a_values:  # each point's utility parameters, checked before any output
         for beta in beta_values:
             UtilityParams(beta=beta, lam=resolved["lam"], human_accuracy=a)
-    out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
     points = pipeline.sweep(
         dataset,
         resolved["model"],
@@ -353,10 +350,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lam=resolved["lam"],
         n_seeds=resolved["seeds"],
         baseline_config=config,
-        team_config=config,
         seed=resolved["seed"],
         jobs=resolved["jobs"],
     )
+    out_dir = Path(resolved["out"])
+    _write_resolved(out_dir / "config.resolved.json", resolved)
     pipeline.write_sweep_csv(points, out_dir / "sweep.csv")
     for p in points:
         print(

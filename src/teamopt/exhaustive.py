@@ -3,10 +3,10 @@
 Candidates are logistic models with weights s*(cos theta, sin theta) and
 bias -s*offset: theta sweeps directions, offset slides the boundary along
 the data range, and the sharpness s scales the logits. The search evaluates
-the mean objective (expected or expectation-mode empirical utility) on the
-given split for every candidate and returns the argmax, so it cannot get
-stuck the way gradient descent can; ties go to the first-enumerated
-candidate in (theta, offset, sharpness) order.
+the mean objective (expected or empirical utility) on the given split for
+every candidate and returns the argmax, so it cannot get stuck the way
+gradient descent can; ties go to the first-enumerated candidate in (theta,
+offset, sharpness) order.
 
 Each angle's candidates are scored together, over the n projections of the
 data onto the angle's direction:
@@ -29,6 +29,7 @@ data onto the angle's direction:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,11 @@ class LinearGrid:
     def __post_init__(self) -> None:
         if self.n_angles < 1 or self.n_offsets < 1 or len(self.sharpness) < 1:
             raise ValueError("grid must have at least one angle, offset, and sharpness")
-        if not self.offset_range[0] < self.offset_range[1]:
+        lo, hi = self.offset_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"invalid offset range {self.offset_range}")
-        if any(s <= 0.0 for s in self.sharpness):
-            raise ValueError("sharpness values must be > 0")
+        if not all(math.isfinite(s) and s > 0.0 for s in self.sharpness):
+            raise ValueError(f"sharpness values must be finite and > 0, got {self.sharpness}")
 
     def angles(self) -> np.ndarray:
         return np.linspace(0.0, 2.0 * np.pi, self.n_angles, endpoint=False)

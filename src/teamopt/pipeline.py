@@ -272,14 +272,15 @@ def train_pair(
     policy: HumanPolicy,
     seed: int,
     baseline_config: TrainConfig,
-    team_config: TrainConfig,
     team_loss_kind: str = "expected_utility_loss",
     baseline_model: Model | None = None,
 ) -> tuple[Model, Model, TrainResult | None, TrainResult, Dataset]:
     """One seed of the protocol; returns both best models, results, test set.
 
-    A supplied ``baseline_model`` replaces the log-loss training stage: it is
-    used as the warm start (and reference) directly, in which case the
+    Both stages train under ``baseline_config``, the reference checkpointed
+    on validation accuracy and the team run on validation expected utility.
+    A supplied ``baseline_model`` replaces the log-loss training stage: it
+    is used as the warm start (and reference) directly, in which case the
     baseline result is None.
     """
     _, fit, val, test, baseline_seed, team_seed = seed_splits(dataset, seed)
@@ -298,7 +299,7 @@ def train_pair(
         fit,
         val,
         team_spec,
-        replace(team_config, checkpoint_metric="expected_utility", seed=team_seed),
+        replace(baseline_config, checkpoint_metric="expected_utility", seed=team_seed),
     )
     return (
         baseline_model,
@@ -333,7 +334,6 @@ def run_experiment(
     n_seeds: int = 10,
     accept_probability: float = 1.0,
     baseline_config: TrainConfig | None = None,
-    team_config: TrainConfig | None = None,
     grid: GridSpec | None = None,
     team_loss_kind: str = "expected_utility_loss",
     seed: int = 0,
@@ -343,9 +343,10 @@ def run_experiment(
 ):
     """Multi-seed comparison of the log-loss reference vs team training.
 
-    When a grid is given, hyperparameters are cross-validated once on the
-    first seed's training portion under the log-loss objective and reused
-    for both trainings (the team run switches the checkpoint metric only).
+    Both trainings use ``baseline_config``; the team run switches the
+    checkpoint metric only. When a grid is given, hyperparameters are
+    cross-validated once on the first seed's training portion under the
+    log-loss objective and replace ``baseline_config``.
     With ``return_models`` the per-seed (baseline, team) model pairs come
     back alongside the report. A supplied ``baseline_model`` is used as the
     warm start on every seed instead of training the reference. ``jobs`` > 1
@@ -373,12 +374,8 @@ def run_experiment(
             base_config=baseline_config,
         )
         baseline_config = searched
-        team_config = team_config or searched
-    baseline_config = baseline_config or TrainConfig()
-    team_config = team_config or baseline_config
     # the report carries the configs exactly as trained
-    baseline_config = replace(baseline_config, checkpoint_metric="accuracy")
-    team_config = replace(team_config, checkpoint_metric="expected_utility")
+    baseline_config = replace(baseline_config or TrainConfig(), checkpoint_metric="accuracy")
 
     run_one = partial(
         _seed_outcome,
@@ -386,7 +383,6 @@ def run_experiment(
         model_kind=model_kind,
         policy=policy,
         baseline_config=baseline_config,
-        team_config=team_config,
         team_loss_kind=team_loss_kind,
         baseline_model=baseline_model,
     )
@@ -401,7 +397,7 @@ def run_experiment(
         accept_probability=accept_probability,
         n_seeds=n_seeds,
         baseline_config=baseline_config,
-        team_config=team_config,
+        team_config=replace(baseline_config, checkpoint_metric="expected_utility"),
         team_loss_kind=team_loss_kind,
         per_seed=tuple(outcomes),
         mean_baseline=mean_baseline,

@@ -1,48 +1,34 @@
-"""Decision-theoretic core: payoffs, the accept-or-solve policy, and team utility.
+"""Decision-theoretic core: the accept-or-solve policy and team utility.
 
 A classifier issues a recommendation (predicted label plus confidence) and a
 human overseer either accepts it or solves the task unaided at a cost. The
-overseer accepts whenever the confidence clears a threshold derived from the
-domain parameters; expected team utility mixes the classifier's probability
-of the true label with the human's own accuracy accordingly.
+overseer accepts whenever the confidence is at least the threshold
+c = a - lam/(1+beta) derived from the domain parameters; an accepted
+recommendation earns (1+beta)*h[y] - beta in expectation, a solved task the
+constant solve utility. ``utilities`` is the one implementation of this
+rule; everything else in the package that scores a team calls it.
 
 All operations are pure functions of their inputs and safe to call
-concurrently. Array-valued helpers (``expected_utilities`` and friends)
-broadcast over arbitrary shapes and back the batched code paths in the rest
-of the package.
+concurrently. They broadcast over arbitrary shapes and back the batched code
+paths in the rest of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "MetaDecision",
     "UtilityParams",
     "HumanPolicy",
-    "Prediction",
-    "accept_threshold",
-    "meta_decision",
-    "payoff",
-    "expected_utility",
-    "empirical_utility",
     "predicted_labels",
     "confidences",
     "utilities",
     "expected_utilities",
     "empirical_utilities",
 ]
-
-
-class MetaDecision(Enum):
-    """The overseer's choice: take the recommendation, or solve unaided."""
-
-    ACCEPT = "accept"
-    SOLVE = "solve"
 
 
 @dataclass(frozen=True)
@@ -109,124 +95,8 @@ class HumanPolicy:
         return self.params.accept_threshold
 
 
-@dataclass(frozen=True, eq=False)
-class Prediction:
-    """Calibrated two-class output: probabilities, argmax label, confidence."""
-
-    probs: np.ndarray
-    predicted_label: int
-    confidence: float
-
-    @classmethod
-    def from_probs(cls, probs) -> "Prediction":
-        p = np.asarray(probs, dtype=np.float64)
-        if p.shape != (2,):
-            raise ValueError(f"probs must have shape (2,), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probs must be finite")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError(f"probs must lie in [0, 1], got {p}")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probs must sum to 1 within 1e-9, got {p}")
-        label = int(np.argmax(p))
-        return cls(probs=p, predicted_label=label, confidence=float(p[label]))
-
-    @classmethod
-    def from_positive_prob(cls, prob1: float) -> "Prediction":
-        return cls.from_probs(np.array([1.0 - prob1, prob1], dtype=np.float64))
-
-
-def accept_threshold(params: UtilityParams) -> float:
-    """Confidence above which a rational overseer accepts: a - lam/(1+beta)."""
-    return params.accept_threshold
-
-
-def meta_decision(
-    pred: Prediction, policy: HumanPolicy, uniform_draw: float = 0.0
-) -> MetaDecision:
-    """Resolve the accept-or-solve choice for one recommendation.
-
-    Below the threshold the overseer always solves. At or above it
-    (comparison uses >=), they accept when ``uniform_draw`` falls below the
-    policy's accept probability; with the default draw of 0.0 and a rational
-    policy this is deterministic acceptance.
-    """
-    if not (0.0 <= uniform_draw < 1.0):
-        raise ValueError(f"uniform_draw must be in [0, 1), got {uniform_draw}")
-    if pred.confidence >= policy.accept_threshold:
-        if uniform_draw < policy.accept_probability:
-            return MetaDecision.ACCEPT
-    return MetaDecision.SOLVE
-
-
-def payoff(meta: MetaDecision, final_correct: bool, params: UtilityParams) -> float:
-    """Discrete reward: 1 or -beta for the decision, minus lam when solving."""
-    value = 1.0 if final_correct else -params.beta
-    if meta is MetaDecision.SOLVE:
-        value -= params.lam
-    return value
-
-
-def _check_label(true_label: int) -> int:
-    if true_label not in (0, 1):
-        raise ValueError(f"true_label must be 0 or 1, got {true_label}")
-    return int(true_label)
-
-
-def expected_utility(pred: Prediction, true_label: int, policy: HumanPolicy) -> float:
-    """Per-example expected team utility.
-
-    In the accept region the utility is affine in the probability assigned to
-    the true label, (1+beta)*h[y] - beta; in the solve region it is the
-    constant solve utility. An accept probability p < 1 mixes the two
-    branches linearly within the accept region.
-    """
-    y = _check_label(true_label)
-    params = policy.params
-    if pred.confidence >= params.accept_threshold:
-        p_accept = policy.accept_probability
-    else:
-        p_accept = 0.0
-    accept_term = (1.0 + params.beta) * float(pred.probs[y]) - params.beta
-    return p_accept * accept_term + (1.0 - p_accept) * params.solve_utility
-
-
-def empirical_utility(
-    pred: Prediction,
-    true_label: int,
-    policy: HumanPolicy,
-    mode: str = "expectation",
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Per-example discrete-payoff utility.
-
-    In ``expectation`` mode the meta-decision and, on the solve branch, human
-    correctness are both averaged out, so the result is deterministic. In
-    ``sampled`` mode one uniform draw resolves the meta-decision and, when
-    solving, one more draws human correctness at rate ``human_accuracy``.
-    """
-    y = _check_label(true_label)
-    if mode not in ("expectation", "sampled"):
-        raise ValueError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
-    params = policy.params
-    accept_payoff = payoff(MetaDecision.ACCEPT, pred.predicted_label == y, params)
-    if mode == "expectation":
-        if pred.confidence >= params.accept_threshold:
-            p_accept = policy.accept_probability
-        else:
-            p_accept = 0.0
-        return p_accept * accept_payoff + (1.0 - p_accept) * params.solve_utility
-    if rng is None:
-        raise ValueError("sampled mode requires an rng")
-    meta = meta_decision(pred, policy, uniform_draw=float(rng.random()))
-    if meta is MetaDecision.ACCEPT:
-        return accept_payoff
-    human_correct = bool(rng.random() < params.human_accuracy)
-    return payoff(MetaDecision.SOLVE, human_correct, params)
-
-
-# Array-valued counterparts. ``prob1`` is the probability of label 1 and may
-# have any shape; ``labels`` must broadcast to it.
+# ``prob1`` is the probability of label 1 and may have any shape; ``labels``
+# must broadcast to it.
 
 
 def predicted_labels(prob1) -> np.ndarray:
@@ -255,11 +125,12 @@ def utilities(
     """Per-example accept probability and team utility; the vectorized kernel.
 
     The overseer accepts, with the policy's accept probability, wherever the
-    confidence is >= the threshold. The accept branch pays (1+beta)*h[y] - beta
-    for ``expected_utility`` or the discrete payoff 1 / -beta of the argmax
-    label for ``empirical_utility`` (expectation mode); the solve branch pays
-    the solve utility. Matches ``expected_utility`` / ``empirical_utility``
-    example by example.
+    confidence is >= the threshold. The accept branch pays (1+beta)*h[y] - beta,
+    h[y] being the probability of the true label, for ``expected_utility``, or
+    1 / -beta as the argmax label is right or wrong for ``empirical_utility``.
+    The solve branch pays the solve utility (1+beta)*a - beta - lam: the human
+    earns 1 - lam when right, with probability a, and -beta - lam when wrong.
+    With accept probability p the utility is p*accept + (1-p)*solve.
 
     Both results have the shape of ``prob1``. Like a numpy ufunc, the kernel
     writes them into ``out=(p_accept, utility)`` when given, float64 arrays
@@ -301,10 +172,14 @@ def utilities(
 
 
 def expected_utilities(prob1, labels, policy: HumanPolicy) -> np.ndarray:
-    """Vectorized expected team utility; see ``expected_utility``."""
+    """Expected team utility per example: (1+beta)*h[y] - beta where the
+    overseer accepts, the solve utility where they solve, mixed by the accept
+    probability."""
     return utilities(prob1, labels, policy, "expected_utility")[1]
 
 
 def empirical_utilities(prob1, labels, policy: HumanPolicy) -> np.ndarray:
-    """Vectorized expectation-mode empirical utility; see ``empirical_utility``."""
+    """Empirical team utility per example: 1 for a correct and -beta for a
+    wrong accepted label, the solve utility where the overseer solves, mixed
+    by the accept probability."""
     return utilities(prob1, labels, policy, "empirical_utility")[1]

@@ -1,7 +1,8 @@
 """Shared test utilities: random models, single-example forward and backward
-passes, the finite-difference gradient oracle, the unblocked forward,
-per-array backward and Adam oracles, the dense exhaustive-search scorer, and
-hypothesis strategies for policies and model outputs."""
+passes, the one-example team-utility reference, the finite-difference
+gradient oracle, the unblocked forward, per-array backward and Adam oracles,
+the dense exhaustive-search scorer, and hypothesis strategies for policies
+and model outputs."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from teamopt.classifiers import (
 )
 from teamopt.losses import batch_loss
 from teamopt.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from teamopt.team_model import HumanPolicy, Prediction, UtilityParams, utilities
+from teamopt.team_model import HumanPolicy, UtilityParams, utilities
 
 
 def random_model(kind, n_features, seed, scale=0.8):
@@ -30,12 +31,40 @@ def random_model(kind, n_features, seed, scale=0.8):
 
 
 def forward(model, features):
-    """Single-example forward pass yielding a two-class Prediction."""
+    """Single-example forward pass yielding the two class probabilities."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"features must be a 1-d vector, got shape {x.shape}")
     prob1, _ = forward_batch(model, x[None, :])
-    return Prediction.from_positive_prob(float(prob1[0]))
+    return np.array([1.0 - prob1[0], prob1[0]])
+
+
+def scalar_utility(prob1, label, policy, objective="expected_utility"):
+    """One example's accept probability and team utility, written branch by
+    branch from the definition; the reference ``utilities`` is tested against.
+
+    The overseer accepts, with the policy's accept probability, when the
+    confidence (the larger class probability) is at least the threshold. An
+    accepted label pays 1 if right and -beta if wrong; solving pays the solve
+    utility.
+    """
+    params = policy.params
+    prob1 = float(prob1)
+    if max(prob1, 1.0 - prob1) >= params.accept_threshold:
+        p_accept = policy.accept_probability
+    else:
+        p_accept = 0.0
+    if objective == "expected_utility":
+        # right with the probability of the true label: 1*h - beta*(1 - h)
+        h = prob1 if label == 1 else 1.0 - prob1
+        accept = (1.0 + params.beta) * h - params.beta
+    elif objective == "empirical_utility":
+        # the argmax label; a tie goes to label 0
+        predicted = 1 if prob1 > 1.0 - prob1 else 0
+        accept = 1.0 if predicted == label else -params.beta
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    return p_accept, p_accept * accept + (1.0 - p_accept) * params.solve_utility
 
 
 def backward(model, features, d_loss_d_prob1, cache=None):

@@ -25,13 +25,7 @@ from teamopt.exhaustive import (
 from teamopt.losses import LossSpec, batch_loss
 from teamopt.optim import TrainConfig, train
 from teamopt.pipeline import run_experiment, seed_splits, sweep
-from teamopt.team_model import (
-    HumanPolicy,
-    Prediction,
-    UtilityParams,
-    accept_threshold,
-    expected_utility,
-)
+from teamopt.team_model import HumanPolicy, UtilityParams, expected_utilities
 
 N_SEEDS = 10
 DESK_CONFIG = TrainConfig(
@@ -61,7 +55,7 @@ def moons_10k():
 def scenario_rq1(scenario_10k):
     return run_experiment(
         scenario_10k, "linear", STANDARD_PARAMS, n_seeds=N_SEEDS,
-        baseline_config=DESK_CONFIG, team_config=DESK_CONFIG, seed=0,
+        baseline_config=DESK_CONFIG, seed=0,
     )
 
 
@@ -69,20 +63,19 @@ def test_criterion_1_threshold_formula():
     for a in (0.8, 0.9, 1.0):
         for beta in (1.0, 3.0, 5.0):
             params = UtilityParams(beta=beta, lam=0.5, human_accuracy=a)
-            assert abs(accept_threshold(params) - (a - 0.5 / (1.0 + beta))) <= 1e-12
-    assert abs(accept_threshold(UtilityParams(1.0, 0.5, 0.8)) - 0.55) <= 1e-12
-    assert abs(accept_threshold(UtilityParams(1.0, 0.5, 0.9)) - 0.65) <= 1e-12
-    assert abs(accept_threshold(UtilityParams(1.0, 0.5, 1.0)) - 0.75) <= 1e-12
-    assert abs(accept_threshold(UtilityParams(5.0, 0.5, 1.0)) - 11.0 / 12.0) <= 1e-12
+            assert abs(params.accept_threshold - (a - 0.5 / (1.0 + beta))) <= 1e-12
+    assert abs(UtilityParams(1.0, 0.5, 0.8).accept_threshold - 0.55) <= 1e-12
+    assert abs(UtilityParams(1.0, 0.5, 0.9).accept_threshold - 0.65) <= 1e-12
+    assert abs(UtilityParams(1.0, 0.5, 1.0).accept_threshold - 0.75) <= 1e-12
+    assert abs(UtilityParams(5.0, 0.5, 1.0).accept_threshold - 11.0 / 12.0) <= 1e-12
     note(1, "threshold matches a - lam/(1+beta) on all nine combinations")
 
 
 def test_criterion_2_expected_utility_surface():
     policy = HumanPolicy(STANDARD_PARAMS)
-    for h in np.linspace(0.0, 1.0, 1000):
-        pred = Prediction.from_probs([1.0 - h, h])
-        got = expected_utility(pred, 1, policy)
-        if pred.confidence >= 0.75:
+    hs = np.linspace(0.0, 1.0, 1000)
+    for h, got in zip(hs, expected_utilities(hs, np.ones(1000, dtype=np.int64), policy)):
+        if max(1.0 - h, h) >= 0.75:
             assert got == 2.0 * h - 1.0
         else:
             assert got == 0.5
@@ -138,7 +131,7 @@ def test_criterion_4_flat_region(scenario_10k):
 def test_criterion_5_rq1_desk_scale(scenario_rq1, moons_10k):
     moons_report = run_experiment(
         moons_10k, "linear", STANDARD_PARAMS, n_seeds=N_SEEDS,
-        baseline_config=DESK_CONFIG, team_config=DESK_CONFIG, seed=0,
+        baseline_config=DESK_CONFIG, seed=0,
     )
     for report in (scenario_rq1, moons_report):
         assert report.mean_delta.expected_utility >= 0.02
@@ -195,7 +188,7 @@ def test_criterion_7_sensitivity_trends(scenario_10k, scenario_rq1):
     delta_a_10 = scenario_rq1.mean_delta.expected_utility
     points = sweep(
         scenario_10k, "linear", a_values=[0.8, 0.9], beta_values=[1.0], lam=0.5,
-        n_seeds=N_SEEDS, baseline_config=DESK_CONFIG, team_config=DESK_CONFIG, seed=0,
+        n_seeds=N_SEEDS, baseline_config=DESK_CONFIG, seed=0,
     )
     delta_by_a = {p.human_accuracy: p.delta_eu for p in points}
     delta_by_a[1.0] = delta_a_10
@@ -204,7 +197,7 @@ def test_criterion_7_sensitivity_trends(scenario_10k, scenario_rq1):
 
     (beta5,) = sweep(
         scenario_10k, "linear", a_values=[1.0], beta_values=[5.0], lam=0.5,
-        n_seeds=N_SEEDS, baseline_config=DESK_CONFIG, team_config=DESK_CONFIG, seed=0,
+        n_seeds=N_SEEDS, baseline_config=DESK_CONFIG, seed=0,
     )
     assert beta5.delta_eu <= delta_a_10 + 0.01
     note(

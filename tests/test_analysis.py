@@ -188,7 +188,7 @@ class TestCompareReports:
         config = TrainConfig(
             learning_rate=0.1, l2_weight=1e-3, batch_size=32, max_epochs=60
         )
-        baseline, team, _, _, test = train_pair(ds, "linear", pol, 0, config, config)
+        baseline, team, _, _, test = train_pair(ds, "linear", pol, 0, config)
         rb = report(baseline, test, pol)
         rt = report(team, test, pol)
         # more high-confidence predictions, and more accuracy mass where accepted

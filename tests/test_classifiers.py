@@ -102,14 +102,14 @@ class TestForward:
     def test_zero_init_predicts_half(self):
         model = init_model("linear", 3)
         pred = forward(model, [5.0, -2.0, 0.3])
-        np.testing.assert_array_equal(pred.probs, [0.5, 0.5])
+        np.testing.assert_array_equal(pred, [0.5, 0.5])
 
     def test_hand_computed_logistic(self):
         model = init_model("linear", 2)
         model.weights[:] = [1.0, 0.0]
         pred = forward(model, [np.log(3.0), 0.0])
-        assert pred.probs[1] == pytest.approx(0.75, abs=1e-12)
-        assert pred.probs[0] == pytest.approx(0.25, abs=1e-12)
+        assert pred[1] == pytest.approx(0.75, abs=1e-12)
+        assert pred[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -117,13 +117,13 @@ class TestForward:
             kind = "linear" if i % 2 == 0 else "mlp"
             model = random_model(kind, 3, seed=i)
             pred = forward(model, rng.normal(size=3))
-            assert abs(pred.probs.sum() - 1.0) < 1e-12
+            assert abs(pred.sum() - 1.0) < 1e-12
 
     def test_extreme_logits_stay_finite(self):
         model = init_model("linear", 1)
         model.weights[:] = [1000.0]
-        assert forward(model, [1000.0]).probs[1] == 1.0
-        tiny = forward(model, [-1000.0]).probs[1]
+        assert forward(model, [1000.0])[1] == 1.0
+        tiny = forward(model, [-1000.0])[1]
         assert 0.0 <= tiny < 1e-200
 
     def test_errors(self):
@@ -223,9 +223,9 @@ class TestBackward:
             for i in range(fp.size):
                 orig = fp[i]
                 fp[i] = orig + h
-                up = float(forward(model, x).probs[1])
+                up = float(forward(model, x)[1])
                 fp[i] = orig - h
-                down = float(forward(model, x).probs[1])
+                down = float(forward(model, x)[1])
                 fp[i] = orig
                 fg[i] = upstream * (up - down) / (2.0 * h)
             grads[name] = g
@@ -322,7 +322,7 @@ class TestMonotonicity:
         model = random_model("linear", 2, seed=3)
         x0 = np.array([0.1, -0.4])
         ts = np.linspace(-3.0, 3.0, 41)
-        probs = [float(forward(model, x0 + t * model.weights).probs[1]) for t in ts]
+        probs = [float(forward(model, x0 + t * model.weights)[1]) for t in ts]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
 
@@ -338,6 +338,13 @@ class TestSerialization:
         loaded = load_model(path)
         for name, p in model.parameters().items():
             assert np.array_equal(p, loaded.parameters()[name])
+
+    def test_model_of_no_kind_is_not_saved(self, tmp_path):
+        model = Model([(np.zeros((3, 2)), np.zeros(3)), (np.zeros(3), np.zeros(1))])
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=r"hidden widths \(3,\)"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_seed_format_file_loads(self, tmp_path):
         path = tmp_path / "model.json"

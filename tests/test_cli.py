@@ -435,10 +435,21 @@ class TestRejectedCommandsWriteNothing:
         argv = _argv(command, str(moons_csv), tmp_path) + ["--lr", "0"]
         self._rejected(argv, tmp_path, capsys, "learning_rate must be > 0")
 
-    @pytest.mark.parametrize("sharpness", [",", "1,x", "0"])
+    @pytest.mark.parametrize("sharpness", [",", "1,x", "0", "nan", "inf", "1,nan"])
     def test_bad_grid(self, moons_csv, tmp_path, capsys, sharpness):
         argv = _argv("exhaustive", str(moons_csv), tmp_path) + ["--sharpness", sharpness]
         self._rejected(argv, tmp_path, capsys, "")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("train", ["--loss", "eu"]), ("train", ["--loss", "log"]), ("exhaustive", []), ("sweep", [])],
+        ids=["train-eu", "train-log", "exhaustive", "sweep"],
+    )
+    def test_too_few_rows_for_the_splits(self, tmp_path, capsys, command, flags):
+        path = tmp_path / "tiny.csv"
+        path.write_text("x1,x2,label\n1,2,0\n3,4,1\n")
+        argv = _argv(command, str(path), tmp_path) + flags
+        self._rejected(argv, tmp_path, capsys, "produce an empty split for n=2")
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     @pytest.mark.parametrize("bins", ["0", "1"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_score_grid, policies, unchecked_params
+from helpers import dense_score_grid, policies, scalar_utility, unchecked_params
 from teamopt.analysis import evaluate
 from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
@@ -21,13 +21,7 @@ from teamopt.exhaustive import (
 )
 from teamopt.losses import LossSpec
 from teamopt.optim import TrainConfig, train
-from teamopt.team_model import (
-    HumanPolicy,
-    Prediction,
-    UtilityParams,
-    empirical_utility,
-    expected_utility,
-)
+from teamopt.team_model import HumanPolicy, UtilityParams
 
 
 def policy():
@@ -81,6 +75,12 @@ class TestLinearGrid:
             LinearGrid(sharpness=(0.0,))
         with pytest.raises(ValueError):
             LinearGrid(offset_range=(1.0, 1.0))
+        for offset_range in [(-np.inf, 3.0), (-3.0, np.inf), (np.nan, 3.0), (-3.0, np.nan)]:
+            with pytest.raises(ValueError, match="invalid offset range"):
+                LinearGrid(offset_range=offset_range)
+        for sharpness in [(np.nan,), (np.inf,), (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="finite and > 0"):
+                LinearGrid(sharpness=sharpness)
 
     def test_default_size(self):
         grid = LinearGrid()
@@ -90,7 +90,7 @@ class TestLinearGrid:
 
 
 def nested_loop_oracle(dataset, objective, pol, grid):
-    """Independent enumeration using the per-example scalar operations."""
+    """Independent enumeration using the one-example utility reference."""
     best_score = -np.inf
     best = None
     for angle in grid.angles():
@@ -101,11 +101,7 @@ def nested_loop_oracle(dataset, objective, pol, grid):
                 for x, y in zip(dataset.features, dataset.labels):
                     z = float(np.clip(s * (x @ u - offset), -500, 500))
                     p1 = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1 + np.exp(z))
-                    pred = Prediction.from_positive_prob(p1)
-                    if objective == "expected_utility":
-                        total += expected_utility(pred, int(y), pol)
-                    else:
-                        total += empirical_utility(pred, int(y), pol)
+                    total += scalar_utility(p1, int(y), pol, objective)[1]
                 score = total / dataset.n_examples
                 if score > best_score:
                     best_score = score

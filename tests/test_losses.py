@@ -12,24 +12,15 @@ from helpers import (
     outputs,
     policies,
     random_model,
+    scalar_utility,
 )
 from teamopt.classifiers import init_model
 from teamopt.losses import LossSpec, batch_loss, per_example_loss
-from teamopt.team_model import (
-    HumanPolicy,
-    Prediction,
-    UtilityParams,
-    expected_utility,
-    utilities,
-)
+from teamopt.team_model import HumanPolicy, UtilityParams, utilities
 
 
 def policy(beta=1.0, lam=0.5, a=1.0, p=1.0):
     return HumanPolicy(UtilityParams(beta=beta, lam=lam, human_accuracy=a), p)
-
-
-def pred_true_prob(h):
-    return Prediction.from_probs([1.0 - h, h])
 
 
 def loss_at(h, spec):
@@ -85,7 +76,7 @@ class TestEuLoss:
         hs = np.random.default_rng(4).random(200)
         values, _ = per_example_loss(hs, np.ones(200, dtype=int), eu(pol))
         for h, value in zip(hs, values):
-            assert value == -expected_utility(pred_true_prob(h), 1, pol)
+            assert value == -scalar_utility(h, 1, pol)[1]
 
 
 class TestTeamLoss:
@@ -152,7 +143,7 @@ class TestBatchLoss:
     def test_single_example_matches_per_example_plus_l2(self):
         model = random_model("linear", 2, seed=2)
         x = np.array([0.3, -1.1])
-        h = float(forward(model, x).probs[1])
+        h = float(forward(model, x)[1])
         expected_value = -np.log(h) + 0.01 * float(np.sum(model.weights**2))
         value, _ = batch_loss(model, x[None, :], np.array([1]), LossSpec("log_loss"), 0.01)
         assert value == pytest.approx(expected_value, rel=1e-12)
@@ -209,7 +200,7 @@ class TestGradientFidelity:
             model = random_model(kind, 3, seed=int(rng.integers(1_000_000)), scale=0.5)
             for _ in range(100):
                 x = rng.normal(size=3)
-                p1 = float(forward(model, x).probs[1])
+                p1 = float(forward(model, x)[1])
                 conf = max(p1, 1.0 - p1)
                 if abs(conf - c) > 1e-3 and 0.01 < p1 < 0.99:
                     return model, x, int(rng.integers(0, 2))

@@ -125,7 +125,7 @@ class TestTrainPair:
         pol = policy()
         ds = gen_scenario1(1500, seed=5)
         baseline, team, baseline_result, team_result, test = train_pair(
-            ds, "linear", pol, 3, QUICK, QUICK
+            ds, "linear", pol, 3, QUICK
         )
         # the team run's pre-step evaluation is the baseline model's EU
         _, fit, val, _, _, _ = seed_splits(ds, 3)
@@ -139,7 +139,7 @@ class TestTrainPair:
         pol = policy()
         ds = gen_scenario1(800, seed=6)
         _, team, _, team_result, test = train_pair(
-            ds, "linear", pol, 0, QUICK, QUICK, team_loss_kind="team_loss"
+            ds, "linear", pol, 0, QUICK, team_loss_kind="team_loss"
         )
         assert team_result.best_val_metric >= team_result.initial_val_metric
 
