@@ -5,6 +5,9 @@ fully merged flag values, so a run can be reproduced exactly from its output
 directory. Flags override values from an optional ``--config`` JSON file,
 which in turn overrides built-in defaults. The global seed falls back to the
 TEAMOPT_SEED environment variable when not given.
+
+Each flag is one ``Flag`` row of ``COMMANDS``; the parser, the defaults and
+the checks on merged values are all derived from those rows.
 """
 
 from __future__ import annotations
@@ -15,72 +18,109 @@ import os
 import sys
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analysis, data, exhaustive, pipeline
 from .classifiers import HIDDEN, load_model, save_model
 from .optim import TrainConfig
 from .team_model import HumanPolicy, UtilityParams
 
-LOSS_NAMES = {
-    "log": "log_loss",
-    "eu": "expected_utility_loss",
-    "team": "team_loss",
-}
+LOSS_NAMES = {"log": "log_loss", "eu": "expected_utility_loss", "team": "team_loss"}
 MODEL_KINDS = tuple(HIDDEN)
 
 
-def _base_seed() -> int:
-    """TEAMOPT_SEED, or 0 when it is unset or empty."""
-    env = os.environ.get("TEAMOPT_SEED")
-    if not env:
-        return 0
+class Flag(NamedTuple):
+    """One flag and the resolved-config key (``dest``) it sets.
+
+    A ``None`` default makes the flag required, and a ``bool`` flag is a
+    switch that stores True. ``floor`` bounds an integer; ``env`` names a
+    variable that replaces the default when set; ``field`` is the
+    TrainConfig field the value fills; ``numbers`` marks text holding a
+    comma-separated list of numbers.
+    """
+
+    option: str
+    dest: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    floor: int | None = None
+    env: str | None = None
+    field: str | None = None
+    numbers: bool = False
+
+
+_DATA = Flag("--data", "data", help="dataset CSV with a 0/1 label column")
+_LABEL = Flag("--label-column", "label_column", str, "label", "name of the label column")
+_MODEL = Flag("--model", "model", str, "linear", "model kind", choices=MODEL_KINDS)
+_NOISE_STD = Flag("--noise-std", "noise_std", float, 0.2, "moons noise standard deviation")
+_BINS = Flag("--bins", "bins", int, 20, "confidence bins of the behavior curves", floor=2)
+_STANDARDIZE = Flag(
+    "--standardize", "standardize", bool, False, "standardize --data by its own statistics"
+)
+_OUT = Flag("--out", "out", help="output path")
+_SEED = Flag(
+    "--seed", "seed", int, 0, "base seed (default: TEAMOPT_SEED or 0)", floor=0, env="TEAMOPT_SEED"
+)
+_SEEDS = (
+    Flag("--seeds", "seeds", int, 10, "number of seeds, one train/test split each", floor=1),
+    _SEED,
+    Flag("--jobs", "jobs", int, 1, "worker processes for seeds", floor=1),
+)
+_POLICY = (
+    Flag("--beta", "beta", float, 1.0, "penalty for an incorrect decision"),
+    Flag("--lambda", "lam", float, 0.5, "cost of solving unaided"),
+    Flag("--a", "human_accuracy", float, 1.0, "human accuracy when solving"),
+    Flag("--p", "accept_probability", float, 1.0, "accept probability above the threshold"),
+)
+_TRAIN = (
+    Flag("--lr", "lr", float, 0.1, "learning rate", field="learning_rate"),
+    Flag("--l2", "l2", float, 1e-3, "L2 weight-decay coefficient", field="l2_weight"),
+    Flag("--batch", "batch", int, 32, "mini-batch size", field="batch_size"),
+    Flag("--decay", "decay", float, 0.1, "scheduler decay factor", field="scheduler_decay"),
+    Flag("--patience", "patience", int, 5, "scheduler patience in epochs", field="scheduler_patience"),
+    Flag("--epochs", "epochs", int, 200, "training epochs", field="max_epochs"),
+)
+
+
+def _default(flag: Flag):
+    """A flag's default, or the integer its environment variable holds."""
+    text = os.environ.get(flag.env) if flag.env else None
+    if not text:
+        return flag.default
     try:
-        seed = int(env)
+        value = int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ValueError(f"TEAMOPT_SEED must be an integer >= 0, got {env!r}")
-    return seed
+        value = None
+    if value is None or value < flag.floor:
+        raise ValueError(f"{flag.env} must be an integer >= {flag.floor}, got {text!r}")
+    return value
 
 
-def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, help="penalty for an incorrect decision")
-    parser.add_argument("--lambda", type=float, dest="lam", help="cost of solving unaided")
-    parser.add_argument("--a", type=float, dest="human_accuracy", help="human accuracy when solving")
-    parser.add_argument("--p", type=float, dest="accept_probability", help="accept probability above the threshold")
+def _fits(kind: type, value) -> bool:
+    """Whether a config value can stand in for a flag of type ``kind``: an int
+    flag takes an int and a float flag an int or a float, neither a bool."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--l2", type=float, help="L2 weight-decay coefficient")
-    parser.add_argument("--batch", type=int, help="mini-batch size")
-    parser.add_argument("--decay", type=float, help="scheduler decay factor")
-    parser.add_argument("--patience", type=int, help="scheduler patience in epochs")
-    parser.add_argument("--epochs", type=int, help="training epochs")
+def _numbers(resolved: dict, key: str) -> list[float]:
+    """The numbers of a comma-list flag's text."""
+    text = resolved[key]
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        message = f"--{key} must be a comma-separated list of numbers, got {text!r}"
+        raise ValueError(message) from None
 
 
-_POLICY_DEFAULTS = {"beta": 1.0, "lam": 0.5, "human_accuracy": 1.0, "accept_probability": 1.0}
-_TRAIN_DEFAULTS = {"lr": 0.1, "l2": 1e-3, "batch": 32, "decay": 0.1, "patience": 5, "epochs": 200}
-
-
-def _fits(default, value) -> bool:
-    """Whether a config value can stand in for its default: an int default
-    takes an int and a float default an int or a float, neither a bool."""
-    if isinstance(value, bool) and not isinstance(default, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < --config file < explicit flags."""
-    given = {
-        k: v
-        for k, v in vars(args).items()
-        if v is not None and k not in ("func", "command")
-    }
-    merged = dict(defaults)
+def _resolve(args: argparse.Namespace) -> dict:
+    """defaults < --config file < explicit flags, each value checked against its flag."""
+    flags = COMMANDS[args.command][2]
+    merged = {f.dest: _default(f) for f in flags}
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in ("func", "command")}
     config_path = given.pop("config", None)
     if config_path:
         try:
@@ -102,25 +142,21 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         merged.update(file_values)
     merged.update(given)
     merged["command"] = args.command
-    # integers that size or seed a run, whether from a flag or the config file
-    for key, low in (("seeds", 1), ("jobs", 1), ("bins", 2), ("seed", 0)):
-        if key not in merged:
-            continue
-        value = merged[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ValueError(f"--{key} must be an integer >= {low}, got {value!r}")
-    # names that argparse checks, but a config file can still set
-    for key, names in (("model", MODEL_KINDS), ("loss", tuple(LOSS_NAMES))):
-        if key in merged and merged[key] not in names:
-            raise ValueError(f"--{key} must be one of {names}, got {merged[key]!r}")
-    # argparse types the flags, so a mismatch comes from the config file; a
-    # None default belongs to a required flag, which always overrides it
-    for key, default in defaults.items():
-        if default is not None and not _fits(default, merged[key]):
+    for f in flags:
+        value = merged[f.dest]
+        if f.floor is not None and (
+            isinstance(value, bool) or not isinstance(value, int) or value < f.floor
+        ):
+            raise ValueError(f"{f.option} must be an integer >= {f.floor}, got {value!r}")
+        if f.choices and value not in f.choices:
+            raise ValueError(f"{f.option} must be one of {f.choices}, got {value!r}")
+        # argparse types the flags, so a mismatch comes from the config file
+        if not _fits(f.type, value):
             raise ValueError(
-                f"{config_path}: {key!r} must be of type {type(default).__name__}, "
-                f"got {merged[key]!r}"
+                f"{config_path}: {f.dest!r} must be of type {f.type.__name__}, got {value!r}"
             )
+        if f.numbers:
+            _numbers(merged, f.dest)
     return merged
 
 
@@ -130,24 +166,13 @@ def _write_resolved(path: Path, resolved: dict) -> None:
 
 
 def _policy(resolved: dict) -> HumanPolicy:
-    params = UtilityParams(
-        beta=resolved["beta"],
-        lam=resolved["lam"],
-        human_accuracy=resolved["human_accuracy"],
-    )
-    return HumanPolicy(params=params, accept_probability=resolved["accept_probability"])
+    values = {f.dest: resolved[f.dest] for f in _POLICY}
+    accept_probability = values.pop("accept_probability")
+    return HumanPolicy(params=UtilityParams(**values), accept_probability=accept_probability)
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=resolved["lr"],
-        l2_weight=resolved["l2"],
-        batch_size=resolved["batch"],
-        scheduler_decay=resolved["decay"],
-        scheduler_patience=resolved["patience"],
-        max_epochs=resolved["epochs"],
-        seed=resolved["seed"],
-    )
+    return TrainConfig(seed=resolved["seed"], **{f.field: resolved[f.dest] for f in _TRAIN})
 
 
 def _load_model_for(path, dataset: data.Dataset):
@@ -165,9 +190,11 @@ def _seeds(resolved: dict) -> list[int]:
     return [resolved["seed"] + s for s in range(resolved["seeds"])]
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, {"kind": None, "n": 10000, "seed": _base_seed(), "out": None, "noise_std": 0.2})
+def cmd_gen_data(resolved: dict) -> int:
     if resolved["kind"] == "scenario1":
+        if resolved["noise_std"] != _NOISE_STD.default:
+            noise = resolved["noise_std"]
+            raise ValueError(f"--noise-std applies to --kind moons only, got {noise!r}")
         ds = data.gen_scenario1(resolved["n"], seed=resolved["seed"])
     else:
         ds = data.gen_moons(resolved["n"], noise_std=resolved["noise_std"], seed=resolved["seed"])
@@ -183,16 +210,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "data": None, "model": "linear", "loss": "eu", "seeds": 10,
-            "seed": _base_seed(), "out": None, "warm_start": "auto",
-            "jobs": 1, "label_column": "label",
-            **_POLICY_DEFAULTS, **_TRAIN_DEFAULTS,
-        },
-    )
+def cmd_train(resolved: dict) -> int:
     loss_kind = LOSS_NAMES[resolved["loss"]]
     # "auto" trains the log-loss reference first; a path warm-starts from it
     warm_start = resolved["warm_start"] != "auto"
@@ -207,8 +225,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"{resolved['warm_start']}: warm-start model is of kind {warm_model.kind!r}, "
             f"not the --model {resolved['model']!r}"
         )
-    out_dir = Path(resolved["out"])
-    models_dir = out_dir / "models"
     if loss_kind == "log_loss":
         runs = pipeline.fan_out(
             partial(
@@ -218,51 +234,34 @@ def cmd_train(args: argparse.Namespace) -> int:
             _seeds(resolved),
             resolved["jobs"],
         )
-        _write_resolved(out_dir / "config.resolved.json", resolved)
-        models_dir.mkdir(exist_ok=True)
-        for s, (model, _) in enumerate(runs):
-            save_model(model, models_dir / f"baseline_seed{s}.json")
-        outcomes = [metrics.to_dict() for _, metrics in runs]
-        (out_dir / "report.json").write_text(
-            json.dumps({"per_seed": outcomes}, indent=2, sort_keys=True) + "\n"
+        report = {"per_seed": [metrics.to_dict() for _, metrics in runs]}
+        stages = {"baseline": [model for model, _ in runs]}
+        summary = f"trained log-loss model on {resolved['seeds']} seeds"
+    else:
+        experiment, pairs = pipeline.run_experiment(
+            dataset, resolved["model"], policy.params, n_seeds=resolved["seeds"],
+            accept_probability=resolved["accept_probability"], baseline_config=config,
+            team_loss_kind=loss_kind, seed=resolved["seed"], return_models=True,
+            baseline_model=warm_model, jobs=resolved["jobs"],
         )
-        print(f"trained log-loss model on {resolved['seeds']} seeds -> {out_dir}")
-        return 0
-
-    report, models = pipeline.run_experiment(
-        dataset,
-        resolved["model"],
-        policy.params,
-        n_seeds=resolved["seeds"],
-        accept_probability=resolved["accept_probability"],
-        baseline_config=config,
-        team_loss_kind=loss_kind,
-        seed=resolved["seed"],
-        return_models=True,
-        baseline_model=warm_model,
-        jobs=resolved["jobs"],
-    )
+        report = experiment.to_dict()
+        stages = {"baseline": [b for b, _ in pairs], "team": [t for _, t in pairs]}
+        summary = (
+            f"mean delta expected utility: {experiment.mean_delta.expected_utility:+.4f} "
+            f"over {resolved['seeds']} seeds"
+        )
+    out_dir = Path(resolved["out"])
     _write_resolved(out_dir / "config.resolved.json", resolved)
-    models_dir.mkdir(exist_ok=True)
-    pipeline.report_to_json(report, out_dir / "report.json")
-    for s, (baseline, team) in enumerate(models):
-        save_model(baseline, models_dir / f"baseline_seed{s}.json")
-        save_model(team, models_dir / f"team_seed{s}.json")
-    print(
-        f"mean delta expected utility: {report.mean_delta.expected_utility:+.4f} "
-        f"over {resolved['seeds']} seeds -> {out_dir}"
-    )
+    (out_dir / "models").mkdir(exist_ok=True)
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for stage, models in stages.items():
+        for s, model in enumerate(models):
+            save_model(model, out_dir / "models" / f"{stage}_seed{s}.json")
+    print(f"{summary} -> {out_dir}")
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "data": None, "model_file": None, "out": None, "bins": 20,
-            "standardize": False, "label_column": "label", **_POLICY_DEFAULTS,
-        },
-    )
+def cmd_eval(resolved: dict) -> int:
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     if resolved["standardize"]:
         (dataset,) = data.standardize(dataset)
@@ -278,26 +277,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_exhaustive(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "data": None, "out": None, "seeds": 10, "seed": _base_seed(),
-            "jobs": 1,
-            "angles": exhaustive.DEFAULT_N_ANGLES,
-            "offsets": exhaustive.DEFAULT_N_OFFSETS,
-            "sharpness": ",".join(str(s) for s in exhaustive.DEFAULT_SHARPNESS),
-            "dataset_name": "dataset", "label_column": "label",
-            **_POLICY_DEFAULTS, **_TRAIN_DEFAULTS,
-        },
-    )
+def cmd_exhaustive(resolved: dict) -> int:
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     policy = _policy(resolved)
     config = _train_config(resolved)
     grid = exhaustive.LinearGrid(
-        n_angles=resolved["angles"],
-        n_offsets=resolved["offsets"],
-        sharpness=tuple(float(s) for s in resolved["sharpness"].split(",")),
+        n_angles=resolved["angles"], n_offsets=resolved["offsets"],
+        sharpness=tuple(_numbers(resolved, "sharpness")),
     )
     top2 = exhaustive.select_top2_features(dataset)
     dataset2d = data.select_features(dataset, top2)
@@ -312,9 +298,9 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         exhaustive.mismatch_columns(f"{resolved['dataset_name']}-seed{s}", *metrics)
         for s, metrics in enumerate(scored)
     ]
-    mean_row = {"dataset": resolved["dataset_name"]}
-    for key in ("eu_logloss", "emp_logloss", "delta_eu_a", "delta_emp_b", "delta_emp_c"):
-        mean_row[key] = float(sum(r[key] for r in rows) / len(rows))
+    mean_row = {"dataset": resolved["dataset_name"]} | {
+        k: float(sum(r[k] for r in rows) / len(rows)) for k in exhaustive.MISMATCH_COLUMNS[1:]
+    }
     out_dir = Path(resolved["out"])
     _write_resolved(out_dir / "config.resolved.json", resolved)
     exhaustive.write_mismatch_csv([mean_row], out_dir / "mismatch.csv")
@@ -326,32 +312,12 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "data": None, "model": "linear", "out": None, "seeds": 10,
-            "seed": _base_seed(), "jobs": 1, "a": "1.0", "beta": "1.0",
-            "lam": 0.5, "label_column": "label", **_TRAIN_DEFAULTS,
-        },
-    )
+def cmd_sweep(resolved: dict) -> int:
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
-    config = _train_config(resolved)
-    a_values = [float(v) for v in resolved["a"].split(",")]
-    beta_values = [float(v) for v in resolved["beta"].split(",")]
-    for a in a_values:  # each point's utility parameters, checked before any output
-        for beta in beta_values:
-            UtilityParams(beta=beta, lam=resolved["lam"], human_accuracy=a)
     points = pipeline.sweep(
-        dataset,
-        resolved["model"],
-        a_values=a_values,
-        beta_values=beta_values,
-        lam=resolved["lam"],
-        n_seeds=resolved["seeds"],
-        baseline_config=config,
-        seed=resolved["seed"],
-        jobs=resolved["jobs"],
+        dataset, resolved["model"], a_values=_numbers(resolved, "a"),
+        beta_values=_numbers(resolved, "beta"), lam=resolved["lam"], n_seeds=resolved["seeds"],
+        baseline_config=_train_config(resolved), seed=resolved["seed"], jobs=resolved["jobs"],
     )
     out_dir = Path(resolved["out"])
     _write_resolved(out_dir / "config.resolved.json", resolved)
@@ -364,15 +330,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "data": None, "baseline_model": None, "team_model": None,
-            "out": None, "bins": 20, "standardize": False,
-            "label_column": "label", **_POLICY_DEFAULTS,
-        },
-    )
+def cmd_analyze(resolved: dict) -> int:
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
     if resolved["standardize"]:
         (dataset,) = data.standardize(dataset)
@@ -388,17 +346,58 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     analysis.metrics_to_json(team.metrics, out_dir / "team_metrics.json")
     analysis.curves_to_csv(baseline.curves, out_dir / "baseline_curves.csv")
     analysis.curves_to_csv(team.curves, out_dir / "team_curves.csv")
-    diff_dict = {
-        "d_accuracy": diff.d_accuracy,
-        "d_expected_utility": diff.d_expected_utility,
-        "d_empirical_utility": diff.d_empirical_utility,
-        "d_accept_fraction": diff.d_accept_fraction,
-        "d_accept_accuracy_mass": diff.d_accept_accuracy_mass,
-        "d_accept_utility_mass": diff.d_accept_utility_mass,
-    }
+    # the accept-region and metric deltas; the per-bin curves go to no file
+    diff_dict = {k: v for k, v in vars(diff).items() if isinstance(v, float)}
     (out_dir / "diff.json").write_text(json.dumps(diff_dict, indent=2, sort_keys=True) + "\n")
     print(json.dumps(diff_dict, sort_keys=True))
     return 0
+
+
+# command -> (function, help, flags in --help order); --config follows the flags
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a synthetic dataset CSV", (
+        Flag("--kind", "kind", help="generator", choices=("scenario1", "moons")),
+        Flag("--n", "n", int, 10000, "number of examples"),
+        _SEED, _NOISE_STD, _OUT,
+    )),
+    "train": (cmd_train, "train the log-loss reference and a team model", (
+        _DATA, _MODEL,
+        Flag("--loss", "loss", str, "eu", "training loss", choices=tuple(LOSS_NAMES)),
+        *_SEEDS,
+        Flag(
+            "--warm-start", "warm_start", str, "auto",
+            "'auto' trains the log-loss reference first; a model path warm-starts from it",
+        ),
+        _LABEL, *_POLICY, *_TRAIN, _OUT,
+    )),
+    "eval": (cmd_eval, "evaluate a saved model on a dataset", (
+        _DATA, Flag("--model-file", "model_file", help="saved model JSON"),
+        _BINS, _STANDARDIZE, _LABEL, *_POLICY, _OUT,
+    )),
+    "exhaustive": (cmd_exhaustive, "brute-force linear search on 2-d data", (
+        _DATA, *_SEEDS,
+        Flag("--angles", "angles", int, exhaustive.DEFAULT_N_ANGLES, "boundary angles"),
+        Flag("--offsets", "offsets", int, exhaustive.DEFAULT_N_OFFSETS, "boundary offsets"),
+        Flag(
+            "--sharpness", "sharpness", str, ",".join(map(str, exhaustive.DEFAULT_SHARPNESS)),
+            "comma-separated sigmoid sharpness values", numbers=True,
+        ),
+        Flag("--dataset-name", "dataset_name", str, "dataset", "row name in mismatch.csv"),
+        _LABEL, *_POLICY, *_TRAIN, _OUT,
+    )),
+    "sweep": (cmd_sweep, "sensitivity sweep over a and beta", (
+        _DATA, _MODEL,
+        Flag("--a", "a", str, "1.0", "comma-separated human accuracies", numbers=True),
+        Flag("--beta", "beta", str, "1.0", "comma-separated mistake penalties", numbers=True),
+        _POLICY[1], *_SEEDS, _LABEL, *_TRAIN, _OUT,
+    )),
+    "analyze": (cmd_analyze, "behavior diagnostics for two saved models", (
+        _DATA,
+        Flag("--baseline-model", "baseline_model", help="saved reference model JSON"),
+        Flag("--team-model", "team_model", help="saved team model JSON"),
+        _BINS, _STANDARDIZE, _LABEL, *_POLICY, _OUT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,97 +406,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and analyze classifiers for human-AI team utility.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--kind", choices=("scenario1", "moons"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the log-loss reference and a team model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--loss", choices=tuple(LOSS_NAMES))
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes for seeds")
-    p.add_argument(
-        "--warm-start",
-        dest="warm_start",
-        help="'auto' trains the log-loss reference first; a model path warm-starts from it",
-    )
-    p.add_argument("--label-column", dest="label_column")
-    _add_policy_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model-file", dest="model_file", required=True)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--standardize", action="store_const", const=True)
-    p.add_argument("--label-column", dest="label_column")
-    _add_policy_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("exhaustive", help="brute-force linear search on 2-d data")
-    p.add_argument("--data", required=True)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes for seeds")
-    p.add_argument("--angles", type=int)
-    p.add_argument("--offsets", type=int)
-    p.add_argument("--sharpness")
-    p.add_argument("--dataset-name", dest="dataset_name")
-    p.add_argument("--label-column", dest="label_column")
-    _add_policy_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_exhaustive)
-
-    p = sub.add_parser("sweep", help="sensitivity sweep over a and beta")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=MODEL_KINDS)
-    p.add_argument("--a")
-    p.add_argument("--beta")
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes for seeds")
-    p.add_argument("--label-column", dest="label_column")
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("analyze", help="behavior diagnostics for two saved models")
-    p.add_argument("--data", required=True)
-    p.add_argument("--baseline-model", dest="baseline_model", required=True)
-    p.add_argument("--team-model", dest="team_model", required=True)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--standardize", action="store_const", const=True)
-    p.add_argument("--label-column", dest="label_column")
-    _add_policy_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_analyze)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for f in flags:
+            kind = (
+                {"action": "store_const", "const": True} if f.type is bool
+                else {"type": f.type, "choices": f.choices, "required": f.default is None}
+            )
+            p.add_argument(f.option, dest=f.dest, help=f.help, **kind)
+        p.add_argument("--config", help="JSON file of flag values; explicit flags override it")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,11 +43,17 @@ __all__ = [
     "OBJECTIVES",
     "select_top2_features",
     "exhaustive_search",
+    "MISMATCH_COLUMNS",
     "mismatch_columns",
     "write_mismatch_csv",
 ]
 
 OBJECTIVES = ("expected_utility", "empirical_utility")
+
+# the loss-metric mismatch table, one row per dataset or seed
+MISMATCH_COLUMNS = (
+    "dataset", "eu_logloss", "emp_logloss", "delta_eu_a", "delta_emp_b", "delta_emp_c",
+)
 
 # Examples per block of the expected-utility evaluation. With the default
 # 707 candidates per angle a buffer holds 0.7 MB; 512-row blocks (2.9 MB)
@@ -303,25 +309,21 @@ def mismatch_columns(
     expected-utility search's deltas (A: expected, B: empirical), and the
     empirical-utility search's empirical delta (C).
     """
-    return {
-        "dataset": dataset_name,
-        "eu_logloss": baseline_metrics.expected_utility,
-        "emp_logloss": baseline_metrics.empirical_utility,
-        "delta_eu_a": search_eu_metrics.expected_utility
-        - baseline_metrics.expected_utility,
-        "delta_emp_b": search_eu_metrics.empirical_utility
-        - baseline_metrics.empirical_utility,
-        "delta_emp_c": search_emp_metrics.empirical_utility
-        - baseline_metrics.empirical_utility,
-    }
+    return dict(zip(MISMATCH_COLUMNS, (
+        dataset_name,
+        baseline_metrics.expected_utility,
+        baseline_metrics.empirical_utility,
+        search_eu_metrics.expected_utility - baseline_metrics.expected_utility,
+        search_eu_metrics.empirical_utility - baseline_metrics.empirical_utility,
+        search_emp_metrics.empirical_utility - baseline_metrics.empirical_utility,
+    )))
 
 
 def write_mismatch_csv(rows: list[dict], path) -> None:
-    header = ["dataset", "eu_logloss", "emp_logloss", "delta_eu_a", "delta_emp_b", "delta_emp_c"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(MISMATCH_COLUMNS)
         for row in rows:
             writer.writerow(
-                [row["dataset"]] + [repr(float(row[k])) for k in header[1:]]
+                [row["dataset"]] + [repr(float(row[k])) for k in MISMATCH_COLUMNS[1:]]
             )

@@ -428,22 +428,24 @@ def sweep(
     **experiment_kwargs,
 ) -> list[SweepPoint]:
     """Run the experiment over the (human accuracy) x (penalty) product grid."""
+    # every point's parameters are checked before the first one trains
+    grid = [
+        UtilityParams(beta=beta, lam=lam, human_accuracy=a)
+        for a in a_values
+        for beta in beta_values
+    ]
     points = []
-    for a in a_values:
-        for beta in beta_values:
-            params = UtilityParams(beta=beta, lam=lam, human_accuracy=a)
-            rep = run_experiment(
-                dataset, model_kind, params, n_seeds=n_seeds, **experiment_kwargs
+    for params in grid:
+        rep = run_experiment(dataset, model_kind, params, n_seeds=n_seeds, **experiment_kwargs)
+        points.append(
+            SweepPoint(
+                human_accuracy=params.human_accuracy,
+                beta=params.beta,
+                lam=lam,
+                baseline_eu=rep.mean_baseline.expected_utility,
+                delta_eu=rep.mean_delta.expected_utility,
             )
-            points.append(
-                SweepPoint(
-                    human_accuracy=a,
-                    beta=beta,
-                    lam=lam,
-                    baseline_eu=rep.mean_baseline.expected_utility,
-                    delta_eu=rep.mean_delta.expected_utility,
-                )
-            )
+        )
     return points
 
 

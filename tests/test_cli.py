@@ -59,6 +59,30 @@ class TestGenData:
         assert err == f"error: TEAMOPT_SEED must be an integer >= 0, got {seed!r}\n"
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_scenario1_rejects_noise_std(self, tmp_path, capsys, source):
+        out = tmp_path / "d" / "s1.csv"
+        argv = ["gen-data", "--kind", "scenario1", "--n", "100", "--out", str(out)]
+        if source == "flag":
+            argv += ["--noise-std", "5"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"noise_std": 5}))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --noise-std applies to --kind moons only, got 5")
+        assert not out.parent.exists()
+
+    def test_resolved_scenario1_config_reloads(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        run(["gen-data", "--kind", "scenario1", "--n", "100", "--seed", "3", "--out", str(first)])
+        config = f"{first}.config.resolved.json"
+        assert json.loads(Path(config).read_text())["noise_std"] == 0.2
+        argv = ["gen-data", "--kind", "scenario1", "--config", config, "--out", str(second)]
+        assert run(argv) == 0
+        assert first.read_bytes() == second.read_bytes()
+
     def test_resolved_config_written_next_to_csv(self, tmp_path):
         path = tmp_path / "m.csv"
         run(["gen-data", "--kind", "moons", "--n", "200", "--seed", "5", "--out", str(path)])
@@ -225,7 +249,8 @@ _TRAIN_SETTINGS = {
 _TRAIN_DEFAULTS = {
     "data": None, "out": None, "model": "linear", "loss": "eu", "seeds": 10, "seed": 0,
     "warm_start": "auto", "jobs": 1, "label_column": "label",
-    **cli._POLICY_DEFAULTS, **cli._TRAIN_DEFAULTS,
+    "beta": 1.0, "lam": 0.5, "human_accuracy": 1.0, "accept_probability": 1.0,
+    "lr": 0.1, "l2": 1e-3, "batch": 32, "decay": 0.1, "patience": 5, "epochs": 200,
 }
 
 
@@ -239,7 +264,7 @@ def _resolve_train(flags, file_values=None):
             path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(file_values))
             argv += ["--config", str(path)]
-        return cli._resolve(cli.build_parser().parse_args(argv), dict(_TRAIN_DEFAULTS))
+        return cli._resolve(cli.build_parser().parse_args(argv))
 
 
 def _settings(draw, keys):
@@ -327,6 +352,62 @@ class TestConfigMerging:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
         assert not out.exists()
+
+
+# each command's required flags, the least argv it parses
+_REQUIRED = {
+    "gen-data": ["gen-data", "--kind", "moons", "--out", "o.csv"],
+    "train": ["train", "--data", "d.csv", "--out", "o"],
+    "eval": ["eval", "--data", "d.csv", "--model-file", "m.json", "--out", "o"],
+    "exhaustive": ["exhaustive", "--data", "d.csv", "--out", "o"],
+    "sweep": ["sweep", "--data", "d.csv", "--out", "o"],
+    "analyze": [
+        "analyze", "--data", "d.csv", "--baseline-model", "b.json",
+        "--team-model", "t.json", "--out", "o",
+    ],
+}
+
+
+def _flag_text(flag):
+    """argv text a run may give an optional flag; None for a switch."""
+    if flag.type is bool:
+        return st.none()
+    if flag.choices:
+        return st.sampled_from(flag.choices)
+    if flag.numbers:
+        numbers = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3)
+        return numbers.map(lambda values: ",".join(map(repr, values)))
+    if flag.type is int:
+        return st.integers(flag.floor or 0, 50).map(str)
+    if flag.type is float:
+        return st.floats(0.0, 10.0).map(repr)
+    return st.sampled_from(["x", "y.json"])
+
+
+class TestFlagTable:
+    """Every command's parser and resolved config come from the same flags."""
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_resolved_config_reproduces_itself(self, command, data):
+        optional = [f for f in cli.COMMANDS[command][2] if f.default is not None]
+        argv = list(_REQUIRED[command])
+        for flag in data.draw(st.lists(st.sampled_from(optional), unique=True)):
+            text = data.draw(_flag_text(flag))
+            argv += [flag.option] if text is None else [flag.option, text]
+        resolved = cli._resolve(cli.build_parser().parse_args(argv))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.resolved.json"
+            cli._write_resolved(path, resolved)
+            again = cli.build_parser().parse_args([*_REQUIRED[command], "--config", str(path)])
+            assert cli._resolve(again) == resolved
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    def test_parser_dests_are_the_resolved_keys(self, command):
+        args = cli.build_parser().parse_args(_REQUIRED[command])
+        dests = set(vars(args)) - {"func", "command", "config"}
+        assert dests == set(cli._resolve(args)) - {"command"}
 
 
 class TestRunCounts:
@@ -434,6 +515,26 @@ class TestRejectedCommandsWriteNothing:
     def test_bad_train_config(self, moons_csv, tmp_path, capsys, command):
         argv = _argv(command, str(moons_csv), tmp_path) + ["--lr", "0"]
         self._rejected(argv, tmp_path, capsys, "learning_rate must be > 0")
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sweep", "--a", "x"), ("sweep", "--a", ""), ("sweep", "--beta", "1,,2"),
+            ("exhaustive", "--sharpness", ","), ("exhaustive", "--sharpness", "1,x"),
+        ],
+    )
+    def test_comma_list_names_its_flag(self, moons_csv, tmp_path, capsys, command, flag, value):
+        argv = _argv(command, str(moons_csv), tmp_path) + [flag, value]
+        message = f"error: {flag} must be a comma-separated list of numbers, got {value!r}"
+        self._rejected(argv, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("command, key", [("sweep", "a"), ("sweep", "beta"), ("exhaustive", "sharpness")])
+    def test_comma_list_in_config_names_its_flag(self, moons_csv, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "1;2"}))
+        argv = _argv(command, str(moons_csv), tmp_path) + ["--config", str(cfg)]
+        message = f"error: --{key} must be a comma-separated list of numbers, got '1;2'"
+        self._rejected(argv, tmp_path, capsys, message)
 
     @pytest.mark.parametrize("sharpness", [",", "1,x", "0", "nan", "inf", "1,nan"])
     def test_bad_grid(self, moons_csv, tmp_path, capsys, sharpness):
@@ -555,6 +656,10 @@ class TestEvalAnalyze:
         assert code == 0
         diff = json.loads((analyze_out / "diff.json").read_text())
         assert "d_expected_utility" in diff
+        assert set(diff) == {
+            "d_accuracy", "d_expected_utility", "d_empirical_utility",
+            "d_accept_fraction", "d_accept_accuracy_mass", "d_accept_utility_mass",
+        }
 
     @pytest.mark.parametrize(
         "corrupt, message",

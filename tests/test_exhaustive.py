@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_score_grid, policies, scalar_utility, unchecked_params
-from teamopt.analysis import evaluate
+from teamopt.analysis import Metrics, evaluate
 from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
 from teamopt.exhaustive import (
     BLOCK_ROWS,
+    MISMATCH_COLUMNS,
     LinearGrid,
     _score_grid,
     exhaustive_search,
@@ -217,6 +218,14 @@ class TestMismatchTable:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "dataset,eu_logloss,emp_logloss,delta_eu_a,delta_emp_b,delta_emp_c"
         assert lines[1].startswith("toy,0.5,0.6,")
+
+    def test_row_keys_are_the_csv_columns(self, tmp_path):
+        metrics = Metrics(accuracy=0.9, expected_utility=0.5, empirical_utility=0.25)
+        row = mismatch_columns("toy", metrics, metrics, metrics)
+        assert tuple(row) == MISMATCH_COLUMNS
+        path = tmp_path / "mismatch.csv"
+        write_mismatch_csv([row], path)
+        assert path.read_text().splitlines() == [",".join(MISMATCH_COLUMNS), "toy,0.5,0.25,0.0,0.0,0.0"]
 
 
 @st.composite

@@ -257,6 +257,24 @@ class TestSweep:
         assert lines[0] == "a_or_beta,baseline_eu,delta_eu"
         assert lines[1].startswith("0.9,")
 
+    def test_invalid_last_point_fails_before_any_training(self, monkeypatch):
+        import teamopt.pipeline as pipeline
+
+        calls = []
+
+        def counted_train(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", counted_train)
+        with pytest.raises(ValueError, match="human_accuracy must be in"):
+            sweep(
+                gen_scenario1(200, seed=5), "linear", a_values=[0.9, 1.0, 1.5],
+                beta_values=[1.0], lam=0.5, n_seeds=1,
+                baseline_config=TrainConfig(max_epochs=1), seed=0,
+            )
+        assert calls == []
+
     def test_always_accept_degenerate_point(self):
         # a=0 with lam=0 puts the threshold at 0: nothing is ever solved, so
         # team utility reduces to the automation payoff
