@@ -228,13 +228,13 @@ def cmd_train(resolved: dict) -> int:
     if loss_kind == "log_loss":
         runs = pipeline.fan_out(
             partial(
-                pipeline.reference_seed,
-                dataset=dataset, model_kind=resolved["model"], policy=policy, config=config,
+                pipeline._run_seed,
+                dataset=dataset, model_kind=resolved["model"], config=config, policies=(policy,),
             ),
             _seeds(resolved),
             resolved["jobs"],
         )
-        report = {"per_seed": [metrics.to_dict() for _, metrics in runs]}
+        report = {"per_seed": [metrics.to_dict() for _, (metrics,) in runs]}
         stages = {"baseline": [model for model, _ in runs]}
         summary = f"trained log-loss model on {resolved['seeds']} seeds"
     else:

@@ -8,9 +8,12 @@ the team objective (checkpointed on expected utility). Because the
 pre-training evaluation is a checkpoint candidate, the team model's
 validation expected utility can never end below its warm start.
 
-Seeds are independent, so multi-seed runs can fan out over worker processes
-(``jobs``); results are collected in seed order and identical to a serial
-run.
+An experiment and a sweep are one plan over (points x seeds). A seed's
+reference does not depend on the utility parameters (its loss, checkpoint
+metric and splits ignore them), so it is trained once and shared by every
+point of a sweep. Seeds are independent, so ``jobs`` fans them out over
+worker processes once per plan; results are collected in seed order and
+identical to a serial run.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .classifiers import Model, init_model
 from .data import Dataset, split, standardize
 from .exhaustive import OBJECTIVES, LinearGrid, exhaustive_search
 from .losses import LossSpec
-from .optim import TrainConfig, TrainResult, train
+from .optim import TrainConfig, train
 from .team_model import HumanPolicy, UtilityParams
 
 __all__ = [
@@ -43,10 +46,7 @@ __all__ = [
     "seed_splits",
     "fan_out",
     "cross_validate",
-    "train_reference",
-    "reference_seed",
     "mismatch_seed",
-    "train_pair",
     "run_experiment",
     "sweep",
     "report_to_json",
@@ -233,26 +233,17 @@ def _delta(team: Metrics, baseline: Metrics) -> Metrics:
     return Metrics(*(t - b for t, b in zip(astuple(team), astuple(baseline))))
 
 
-def train_reference(
+def _train_reference(
     fit: Dataset, val: Dataset, model_kind: str, config: TrainConfig, seed: int
-) -> TrainResult:
-    """Train a fresh model on log-loss, checkpointed on validation accuracy."""
+) -> Model:
+    """A fresh model trained on log-loss, checkpointed on validation accuracy."""
     return train(
         init_model(model_kind, fit.n_features, seed=seed),
         fit,
         val,
         LossSpec(kind="log_loss"),
         replace(config, checkpoint_metric="accuracy", seed=seed),
-    )
-
-
-def reference_seed(
-    seed: int, dataset: Dataset, model_kind: str, policy: HumanPolicy, config: TrainConfig
-) -> tuple[Model, Metrics]:
-    """One seed's log-loss reference and its test metrics, without team training."""
-    _, fit, val, test, baseline_seed, _ = seed_splits(dataset, seed)
-    model = train_reference(fit, val, model_kind, config, baseline_seed).best_model
-    return model, evaluate(model, test, policy)
+    ).best_model
 
 
 def mismatch_seed(
@@ -261,70 +252,104 @@ def mismatch_seed(
     """Test metrics of one seed's linear reference and of both exhaustive
     searches (expected, then empirical utility) on its training portion."""
     train80, fit, val, test, baseline_seed, _ = seed_splits(dataset, seed)
-    reference = train_reference(fit, val, "linear", config, baseline_seed).best_model
+    reference = _train_reference(fit, val, "linear", config, baseline_seed)
     searched = [exhaustive_search(train80, obj, policy, grid) for obj in OBJECTIVES]
     return tuple(evaluate(model, test, policy) for model in (reference, *searched))
 
 
-def train_pair(
+def _run_seed(
+    seed: int,
     dataset: Dataset,
     model_kind: str,
-    policy: HumanPolicy,
-    seed: int,
-    baseline_config: TrainConfig,
-    team_loss_kind: str = "expected_utility_loss",
+    config: TrainConfig,
+    policies: tuple[HumanPolicy, ...],
+    team_loss_kind: str | None = None,
     baseline_model: Model | None = None,
-) -> tuple[Model, Model, TrainResult | None, TrainResult, Dataset]:
-    """One seed of the protocol; returns both best models, results, test set.
+) -> tuple[Model, list]:
+    """One seed of the plan: ``(reference, runs)``, one run per policy.
 
-    Both stages train under ``baseline_config``, the reference checkpointed
-    on validation accuracy and the team run on validation expected utility.
-    A supplied ``baseline_model`` replaces the log-loss training stage: it
-    is used as the warm start (and reference) directly, in which case the
-    baseline result is None.
+    The log-loss reference is trained once (a supplied ``baseline_model``
+    replaces it) and scored on the test split under every policy. Without a
+    ``team_loss_kind`` each run is that score; with one, each run is
+    ``(SeedOutcome, team model)`` of a team training warm-started from the
+    reference under that policy.
     """
     _, fit, val, test, baseline_seed, team_seed = seed_splits(dataset, seed)
+    reference = baseline_model
+    if reference is None:
+        reference = _train_reference(fit, val, model_kind, config, baseline_seed)
+    baselines = [evaluate(reference, test, policy) for policy in policies]
+    if team_loss_kind is None:
+        return reference, baselines
+    team_config = replace(config, checkpoint_metric="expected_utility", seed=team_seed)
+    runs = []
+    for policy, baseline in zip(policies, baselines):
+        spec = LossSpec(kind=team_loss_kind, policy=policy)
+        result = train(reference, fit, val, spec, team_config)
+        team = evaluate(result.best_model, test, policy)
+        gain = result.best_val_metric - result.initial_val_metric
+        outcome = SeedOutcome(seed, baseline, team, _delta(team, baseline), gain)
+        runs.append((outcome, result.best_model))
+    return reference, runs
 
-    if baseline_model is None:
-        baseline_result = train_reference(
-            fit, val, model_kind, baseline_config, baseline_seed
+
+def _plan(
+    dataset: Dataset,
+    model_kind: str,
+    points: list[UtilityParams],
+    n_seeds: int,
+    accept_probability: float,
+    baseline_config: TrainConfig | None,
+    grid: GridSpec | None,
+    team_loss_kind: str,
+    seed: int,
+    baseline_model: Model | None,
+    jobs: int,
+) -> list[tuple[ExperimentReport, list[tuple[Model, Model]]]]:
+    """Every point's report and per-seed (reference, team) models, from one
+    cross-validation (if a grid is given) and one fan-out over the seeds."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if baseline_model is not None and baseline_model.kind != model_kind:
+        raise ValueError(
+            f"baseline model of kind {baseline_model.kind!r} does not match "
+            f"model_kind {model_kind!r}"
         )
-        baseline_model = baseline_result.best_model
-    else:
-        baseline_result = None
-
-    team_spec = LossSpec(kind=team_loss_kind, policy=policy)
-    team_result = train(
-        baseline_model,
-        fit,
-        val,
-        team_spec,
-        replace(baseline_config, checkpoint_metric="expected_utility", seed=team_seed),
+    policies = tuple(HumanPolicy(params, accept_probability) for params in points)
+    # the report carries the configs exactly as trained
+    config = replace(baseline_config or TrainConfig(), checkpoint_metric="accuracy")
+    if grid is not None:
+        outer_seed = derive_seeds(seed, 1)[0]
+        train80, _ = split(dataset, (1.0 - TEST_FRACTION, TEST_FRACTION), seed=outer_seed)
+        config = cross_validate(train80, model_kind, LossSpec(kind="log_loss"), grid, config)
+    run_one = partial(
+        _run_seed,
+        dataset=dataset,
+        model_kind=model_kind,
+        config=config,
+        policies=policies,
+        team_loss_kind=team_loss_kind,
+        baseline_model=baseline_model,
     )
-    return (
-        baseline_model,
-        team_result.best_model,
-        baseline_result,
-        team_result,
-        test,
-    )
-
-
-def _seed_outcome(
-    seed: int, policy: HumanPolicy, **pair_args
-) -> tuple[SeedOutcome, tuple[Model, Model]]:
-    """``train_pair`` on one seed, scored on its test split."""
-    baseline, team, _, team_result, test = train_pair(seed=seed, policy=policy, **pair_args)
-    baseline_metrics = evaluate(baseline, test, policy)
-    team_metrics = evaluate(team, test, policy)
-    outcome = SeedOutcome(
-        seed=seed,
-        baseline=baseline_metrics,
-        team=team_metrics,
-        delta=_delta(team_metrics, baseline_metrics),
-        team_val_gain=team_result.best_val_metric - team_result.initial_val_metric,
-    )
-    return outcome, (baseline, team)
+    per_seed = fan_out(run_one, [seed + s for s in range(n_seeds)], jobs)
+    planned = []
+    for p, params in enumerate(points):
+        outcomes = [runs[p][0] for _, runs in per_seed]
+        report = ExperimentReport(
+            model_kind=model_kind,
+            params=params,
+            accept_probability=accept_probability,
+            n_seeds=n_seeds,
+            baseline_config=config,
+            team_config=replace(config, checkpoint_metric="expected_utility"),
+            team_loss_kind=team_loss_kind,
+            per_seed=tuple(outcomes),
+            mean_baseline=_mean_metrics([o.baseline for o in outcomes]),
+            mean_team=_mean_metrics([o.team for o in outcomes]),
+            mean_delta=_mean_metrics([o.delta for o in outcomes]),
+        )
+        planned.append((report, [(reference, runs[p][1]) for reference, runs in per_seed]))
+    return planned
 
 
 def run_experiment(
@@ -345,64 +370,18 @@ def run_experiment(
 
     Both trainings use ``baseline_config``; the team run switches the
     checkpoint metric only. When a grid is given, hyperparameters are
-    cross-validated once on the first seed's training portion under the
-    log-loss objective and replace ``baseline_config``.
+    cross-validated once on the first seed's training portion, under
+    log-loss with accuracy checkpoints (the reference's objective), and
+    replace ``baseline_config``.
     With ``return_models`` the per-seed (baseline, team) model pairs come
     back alongside the report. A supplied ``baseline_model`` is used as the
     warm start on every seed instead of training the reference. ``jobs`` > 1
     fans the seeds out over worker processes; results are identical to a
     serial run.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    if baseline_model is not None and baseline_model.kind != model_kind:
-        raise ValueError(
-            f"baseline model of kind {baseline_model.kind!r} does not match "
-            f"model_kind {model_kind!r}"
-        )
-    policy = HumanPolicy(params=params, accept_probability=accept_probability)
-    if grid is not None:
-        outer_seed = derive_seeds(seed, 1)[0]
-        train80, _ = split(
-            dataset, (1.0 - TEST_FRACTION, TEST_FRACTION), seed=outer_seed
-        )
-        searched = cross_validate(
-            train80,
-            model_kind,
-            LossSpec(kind="log_loss", policy=policy),
-            grid,
-            base_config=baseline_config,
-        )
-        baseline_config = searched
-    # the report carries the configs exactly as trained
-    baseline_config = replace(baseline_config or TrainConfig(), checkpoint_metric="accuracy")
-
-    run_one = partial(
-        _seed_outcome,
-        dataset=dataset,
-        model_kind=model_kind,
-        policy=policy,
-        baseline_config=baseline_config,
-        team_loss_kind=team_loss_kind,
-        baseline_model=baseline_model,
-    )
-    results = fan_out(run_one, [seed + s for s in range(n_seeds)], jobs)
-    outcomes = [outcome for outcome, _ in results]
-    models = [pair for _, pair in results]
-    mean_baseline = _mean_metrics([o.baseline for o in outcomes])
-    mean_team = _mean_metrics([o.team for o in outcomes])
-    report = ExperimentReport(
-        model_kind=model_kind,
-        params=params,
-        accept_probability=accept_probability,
-        n_seeds=n_seeds,
-        baseline_config=baseline_config,
-        team_config=replace(baseline_config, checkpoint_metric="expected_utility"),
-        team_loss_kind=team_loss_kind,
-        per_seed=tuple(outcomes),
-        mean_baseline=mean_baseline,
-        mean_team=mean_team,
-        mean_delta=_mean_metrics([o.delta for o in outcomes]),
+    ((report, models),) = _plan(
+        dataset, model_kind, [params], n_seeds, accept_probability, baseline_config,
+        grid, team_loss_kind, seed, baseline_model, jobs,
     )
     if return_models:
         return report, models
@@ -425,28 +404,40 @@ def sweep(
     beta_values,
     lam: float,
     n_seeds: int = 10,
-    **experiment_kwargs,
+    *,
+    accept_probability: float = 1.0,
+    baseline_config: TrainConfig | None = None,
+    grid: GridSpec | None = None,
+    team_loss_kind: str = "expected_utility_loss",
+    seed: int = 0,
+    jobs: int = 1,
+    baseline_model: Model | None = None,
 ) -> list[SweepPoint]:
-    """Run the experiment over the (human accuracy) x (penalty) product grid."""
+    """The experiment over the (human accuracy) x (penalty) product grid, as
+    one plan: each point equals ``run_experiment`` at its parameters, while
+    each seed's reference is trained once and shared by every point."""
     # every point's parameters are checked before the first one trains
-    grid = [
+    points = [
         UtilityParams(beta=beta, lam=lam, human_accuracy=a)
         for a in a_values
         for beta in beta_values
     ]
-    points = []
-    for params in grid:
-        rep = run_experiment(dataset, model_kind, params, n_seeds=n_seeds, **experiment_kwargs)
-        points.append(
-            SweepPoint(
-                human_accuracy=params.human_accuracy,
-                beta=params.beta,
-                lam=lam,
-                baseline_eu=rep.mean_baseline.expected_utility,
-                delta_eu=rep.mean_delta.expected_utility,
-            )
+    if not points:
+        return []
+    planned = _plan(
+        dataset, model_kind, points, n_seeds, accept_probability, baseline_config,
+        grid, team_loss_kind, seed, baseline_model, jobs,
+    )
+    return [
+        SweepPoint(
+            human_accuracy=report.params.human_accuracy,
+            beta=report.params.beta,
+            lam=lam,
+            baseline_eu=report.mean_baseline.expected_utility,
+            delta_eu=report.mean_delta.expected_utility,
         )
-    return points
+        for report, _ in planned
+    ]
 
 
 def report_to_json(report: ExperimentReport, path) -> None:

@@ -22,7 +22,7 @@ from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1
 from teamopt.losses import LossSpec, batch_loss
 from teamopt.optim import TrainConfig
-from teamopt.pipeline import train_pair
+from teamopt.pipeline import run_experiment, seed_splits
 from teamopt.team_model import (
     HumanPolicy,
     UtilityParams,
@@ -188,7 +188,11 @@ class TestCompareReports:
         config = TrainConfig(
             learning_rate=0.1, l2_weight=1e-3, batch_size=32, max_epochs=60
         )
-        baseline, team, _, _, test = train_pair(ds, "linear", pol, 0, config)
+        _, [(baseline, team)] = run_experiment(
+            ds, "linear", pol.params, n_seeds=1, baseline_config=config, seed=0,
+            return_models=True,
+        )
+        test = seed_splits(ds, 0)[3]
         rb = report(baseline, test, pol)
         rt = report(team, test, pol)
         # more high-confidence predictions, and more accuracy mass where accepted

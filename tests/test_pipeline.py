@@ -17,7 +17,6 @@ from teamopt.pipeline import (
     run_experiment,
     seed_splits,
     sweep,
-    train_pair,
     write_sweep_csv,
 )
 from teamopt.team_model import HumanPolicy, UtilityParams
@@ -27,6 +26,22 @@ QUICK = TrainConfig(learning_rate=0.1, l2_weight=1e-3, batch_size=32, max_epochs
 
 def policy(beta=1.0, lam=0.5, a=1.0):
     return HumanPolicy(UtilityParams(beta, lam, a))
+
+
+@pytest.fixture
+def trainings(monkeypatch):
+    """Every ``pipeline.train`` call as (spec, config, result), in call order."""
+    import teamopt.pipeline as pipeline
+
+    calls = []
+
+    def recorded(model, train_set, val_set, spec, config):
+        result = train(model, train_set, val_set, spec, config)
+        calls.append((spec, config, result))
+        return result
+
+    monkeypatch.setattr(pipeline, "train", recorded)
+    return calls
 
 
 class TestGridSpec:
@@ -120,28 +135,37 @@ class TestCrossValidate:
         assert config.learning_rate in (0.1, 0.2)
 
 
-class TestTrainPair:
-    def test_warm_start_equals_baseline_at_epoch_zero(self):
+class TestTeamStage:
+    def test_warm_start_equals_baseline_at_epoch_zero(self, trainings):
         pol = policy()
         ds = gen_scenario1(1500, seed=5)
-        baseline, team, baseline_result, team_result, test = train_pair(
-            ds, "linear", pol, 3, QUICK
+        _, [(baseline, team)] = run_experiment(
+            ds, "linear", pol.params, n_seeds=1, baseline_config=QUICK, seed=3,
+            return_models=True,
         )
+        (_, _, baseline_result), (spec, _, team_result) = trainings
+        assert baseline_result.best_model is baseline
+        assert team_result.best_model is team
         # the team run's pre-step evaluation is the baseline model's EU
         _, fit, val, _, _, _ = seed_splits(ds, 3)
-        spec = LossSpec("expected_utility_loss", pol)
+        assert spec == LossSpec("expected_utility_loss", pol)
         assert team_result.initial_val_metric == validation_metric(
             baseline, val, spec, "expected_utility"
         )
         assert team_result.best_val_metric >= team_result.initial_val_metric
 
-    def test_team_loss_variant_runs(self):
-        pol = policy()
+    def test_team_loss_variant_runs(self, trainings):
         ds = gen_scenario1(800, seed=6)
-        _, team, _, team_result, test = train_pair(
-            ds, "linear", pol, 0, QUICK, team_loss_kind="team_loss"
+        rep = run_experiment(
+            ds, "linear", policy().params, n_seeds=1, baseline_config=QUICK, seed=0,
+            team_loss_kind="team_loss",
         )
+        spec, _, team_result = trainings[-1]
+        assert spec.kind == "team_loss"
         assert team_result.best_val_metric >= team_result.initial_val_metric
+        assert rep.per_seed[0].team_val_gain == (
+            team_result.best_val_metric - team_result.initial_val_metric
+        )
 
 
 class TestRunExperiment:
@@ -257,23 +281,92 @@ class TestSweep:
         assert lines[0] == "a_or_beta,baseline_eu,delta_eu"
         assert lines[1].startswith("0.9,")
 
-    def test_invalid_last_point_fails_before_any_training(self, monkeypatch):
-        import teamopt.pipeline as pipeline
-
-        calls = []
-
-        def counted_train(*args, **kwargs):
-            calls.append(1)
-            return train(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "train", counted_train)
+    def test_invalid_last_point_fails_before_any_training(self, trainings):
         with pytest.raises(ValueError, match="human_accuracy must be in"):
             sweep(
                 gen_scenario1(200, seed=5), "linear", a_values=[0.9, 1.0, 1.5],
                 beta_values=[1.0], lam=0.5, n_seeds=1,
                 baseline_config=TrainConfig(max_epochs=1), seed=0,
             )
-        assert calls == []
+        assert trainings == []
+
+    def test_sweep_is_its_points(self, trainings):
+        ds = gen_scenario1(600, seed=17)
+        config = TrainConfig(max_epochs=6)
+        n_seeds = 2
+        points = sweep(
+            ds, "linear", a_values=[0.8, 0.9], beta_values=[1.0, 5.0], lam=0.5,
+            n_seeds=n_seeds, baseline_config=config, seed=0,
+        )
+        # each seed's reference is trained once and shared by the four points
+        kinds = [spec.kind for spec, _, _ in trainings]
+        assert kinds.count("log_loss") == n_seeds
+        assert kinds.count("expected_utility_loss") == 4 * n_seeds
+        assert len(kinds) == 5 * n_seeds
+        assert [(p.human_accuracy, p.beta) for p in points] == [
+            (0.8, 1.0), (0.8, 5.0), (0.9, 1.0), (0.9, 5.0)
+        ]
+        for p in points:
+            rep = run_experiment(
+                ds, "linear", UtilityParams(beta=p.beta, lam=0.5, human_accuracy=p.human_accuracy),
+                n_seeds=n_seeds, baseline_config=config, seed=0,
+            )
+            assert p.baseline_eu == rep.mean_baseline.expected_utility
+            assert p.delta_eu == rep.mean_delta.expected_utility
+
+    def test_parallel_jobs_match_serial(self):
+        ds = gen_scenario1(600, seed=18)
+        args = dict(
+            a_values=[0.9, 1.0], beta_values=[1.0, 3.0], lam=0.5, n_seeds=2,
+            baseline_config=TrainConfig(max_epochs=5), seed=0,
+        )
+        assert sweep(ds, "linear", **args, jobs=2) == sweep(ds, "linear", **args)
+
+    def test_grid_cross_validated_once_on_accuracy(self, monkeypatch, trainings):
+        import teamopt.pipeline as pipeline
+
+        searches = []
+
+        def counted_cross_validate(*args, **kwargs):
+            searches.append(args)
+            return cross_validate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "cross_validate", counted_cross_validate)
+        ds = gen_moons(400, seed=19)
+        grid = GridSpec((0.01, 0.1), (1e-3,), (32,), (0.1,), (5,))
+        # a checkpoint metric other than the reference's does not steer the search
+        config = TrainConfig(max_epochs=3, checkpoint_metric="expected_utility")
+        sweep(
+            ds, "linear", a_values=[0.8, 1.0], beta_values=[1.0], lam=0.5, n_seeds=2,
+            baseline_config=config, grid=grid, seed=0,
+        )
+        assert len(searches) == 1
+        assert searches[0][2] == LossSpec("log_loss")
+        swept = [(spec, cfg) for spec, cfg, _ in trainings]
+        cells = len(list(grid.cells())) * 5
+        assert all(
+            spec == LossSpec("log_loss") and cfg.checkpoint_metric == "accuracy"
+            for spec, cfg in swept[:cells]
+        )
+        for a in (0.8, 1.0):
+            trainings.clear()
+            params = UtilityParams(beta=1.0, lam=0.5, human_accuracy=a)
+            run_experiment(
+                ds, "linear", params, n_seeds=2, baseline_config=config, grid=grid, seed=0
+            )
+            # the sweep trained this point's models under the same configs
+            pol = HumanPolicy(params)
+            own = [(spec, cfg) for spec, cfg in swept if spec.policy in (None, pol)]
+            assert own == [(spec, cfg) for spec, cfg, _ in trainings]
+
+    def test_return_models_rejected_before_any_training(self, trainings):
+        with pytest.raises(TypeError, match="return_models"):
+            sweep(
+                gen_scenario1(200, seed=5), "linear", a_values=[0.9, 1.0],
+                beta_values=[1.0], lam=0.5, n_seeds=1,
+                baseline_config=TrainConfig(max_epochs=1), seed=0, return_models=True,
+            )
+        assert trainings == []
 
     def test_always_accept_degenerate_point(self):
         # a=0 with lam=0 puts the threshold at 0: nothing is ever solved, so
