@@ -541,6 +541,10 @@ class TestRejectedCommandsWriteNothing:
         argv = _argv("exhaustive", str(moons_csv), tmp_path) + ["--sharpness", sharpness]
         self._rejected(argv, tmp_path, capsys, "")
 
+    def test_sharpness_whose_bias_overflows(self, moons_csv, tmp_path, capsys):
+        argv = _argv("exhaustive", str(moons_csv), tmp_path) + ["--sharpness", "1,1e308"]
+        self._rejected(argv, tmp_path, capsys, "sharpness 1e+308 overflows the bias")
+
     @pytest.mark.parametrize(
         "command, flags",
         [("train", ["--loss", "eu"]), ("train", ["--loss", "log"]), ("exhaustive", []), ("sweep", [])],

@@ -9,8 +9,8 @@ from helpers import dense_score_grid, policies, scalar_utility, unchecked_params
 from teamopt.analysis import Metrics, evaluate
 from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
+from teamopt import exhaustive as exhaustive_module
 from teamopt.exhaustive import (
-    BLOCK_ROWS,
     MISMATCH_COLUMNS,
     LinearGrid,
     _score_grid,
@@ -82,6 +82,14 @@ class TestLinearGrid:
         for sharpness in [(np.nan,), (np.inf,), (1.0, np.nan)]:
             with pytest.raises(ValueError, match="finite and > 0"):
                 LinearGrid(sharpness=sharpness)
+
+    def test_sharpness_whose_bias_overflows_is_rejected(self):
+        # the bias -s*offset of 1e308 times an offset of 3 is not finite
+        with pytest.raises(ValueError, match=r"sharpness 1e\+308 overflows"):
+            LinearGrid(sharpness=(1.0, 1e308))
+        with pytest.raises(ValueError, match=r"sharpness 1e\+300 overflows"):
+            LinearGrid(offset_range=(-1e10, 0.0), sharpness=(1e300,))
+        assert LinearGrid(sharpness=(1e307,)).sharpness == (1e307,)
 
     def test_default_size(self):
         grid = LinearGrid()
@@ -232,13 +240,10 @@ class TestMismatchTable:
 def search_problems(draw):
     """(dataset, grid) pairs for the scorer-versus-oracle tests.
 
-    Sizes include 1 and either side of the block size; features on a coarse
-    lattice repeat projection values; grids include a single offset.
+    Sizes include 1, 2 and a few hundred; features on a coarse lattice
+    repeat projection values; grids include a single offset.
     """
-    n = draw(
-        st.sampled_from([1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 37])
-        | st.integers(1, 3 * BLOCK_ROWS)
-    )
+    n = draw(st.sampled_from([1, 2, 127, 128, 129, 293]) | st.integers(1, 384))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         features = rng.integers(-4, 5, size=(n, 2)) * 0.5
@@ -276,6 +281,15 @@ def assert_bitwise_equal(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def assert_is_candidate(model, grid, flat):
+    """The model is, bit for bit, the grid's candidate at a flat index."""
+    ai, oi, si = np.unravel_index(flat, (grid.n_angles, grid.n_offsets, len(grid.sharpness)))
+    angle = grid.angles()[ai]
+    s = float(grid.sharpness[si])
+    assert_bitwise_equal(model.weights, s * np.array([np.cos(angle), np.sin(angle)]))
+    assert_bitwise_equal(model.bias, np.array([-s * float(grid.offsets()[oi])]))
+
+
 def assert_equal_within_rounding(got, want):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     # each side's argmax is a maximum of the other within that rounding;
@@ -290,15 +304,25 @@ class TestScoreGridOracle:
     @settings(max_examples=60, deadline=None)
     @given(problem=search_problems(), pol=policies())
     def test_expected_utility_is_bit_identical(self, problem, pol):
+        """Each cell is the oracle's value, or a ceiling at least that value
+        and below the grid maximum, and the search returns the oracle's
+        argmax."""
         dataset, grid = problem
         got = _score_grid(dataset, "expected_utility", pol, grid)
         want = dense_score_grid(dataset, "expected_utility", pol, grid)
         if grid.n_offsets > 1:
-            assert_bitwise_equal(got, want)
+            evaluated = got.view(np.int64) == want.view(np.int64)
+            best = np.argmax(want)
         else:
             # the oracle's single-offset slab is one column, which numpy sums
             # pairwise instead of in row order
-            assert_equal_within_rounding(got, want)
+            evaluated = np.abs(got - want) <= 1e-12
+            best = np.argmax(got)
+            assert want.flat[best] >= want.max() - 1e-12
+        assert np.all(got[~evaluated] >= want[~evaluated])
+        assert np.all(got[~evaluated] < got.max())
+        assert np.argmax(got) == best
+        assert_is_candidate(exhaustive_search(dataset, "expected_utility", pol, grid), grid, best)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=search_problems(), pol=dyadic_policies())
@@ -316,3 +340,55 @@ class TestScoreGridOracle:
         got = _score_grid(dataset, "empirical_utility", pol, grid)
         want = dense_score_grid(dataset, "empirical_utility", pol, grid)
         assert_equal_within_rounding(got, want)
+
+
+class TestPruning:
+    """The expected-utility search evaluates densely only the candidates
+    whose count bound can reach the maximum."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        calls = []
+        dense = exhaustive_module._expected_sum
+
+        def counted(*args):
+            calls.append(args)
+            return dense(*args)
+
+        monkeypatch.setattr(exhaustive_module, "_expected_sum", counted)
+        return calls
+
+    def test_few_candidates_are_evaluated(self, evaluated):
+        (ds,) = standardize(gen_scenario1(2000, seed=0))
+        grid = LinearGrid(n_angles=24)
+        model = exhaustive_search(ds, "expected_utility", policy(), grid)
+        assert 0 < len(evaluated) < 0.05 * grid.n_candidates
+        assert_is_candidate(
+            model, grid, np.argmax(dense_score_grid(ds, "expected_utility", policy(), grid))
+        )
+
+    def test_never_accept_evaluates_every_candidate_and_returns_the_first(self, evaluated):
+        ds = gen_scenario1(200, seed=2)
+        grid = LinearGrid(n_angles=6, n_offsets=7, sharpness=(1.0, 4.0))
+        # threshold 1.5 - 0.5/2 = 1.25 > 1: every example is solved, so every
+        # candidate scores the solve utility and all of them tie
+        never = HumanPolicy(unchecked_params(1.0, 0.5, 1.5))
+        model = exhaustive_search(ds, "expected_utility", never, grid)
+        assert len(evaluated) == grid.n_candidates
+        assert_is_candidate(model, grid, 0)
+
+    def test_tied_maxima_on_a_lattice_go_to_the_first(self):
+        # half-integer lattice labelled by the sign of x1: at sharpness 300
+        # the offsets 0.125, 0.25 and 0.375 all separate it with saturated
+        # probabilities, so their scores tie exactly
+        ticks = np.arange(-2.0, 2.5, 0.5)
+        X = np.array([(a, b) for a in ticks for b in ticks] * 3)
+        ds = Dataset(
+            features=X, labels=(X[:, 0] > 0.0).astype(np.int64), feature_names=("x1", "x2")
+        )
+        grid = LinearGrid(n_angles=4, n_offsets=17, offset_range=(-1.0, 1.0), sharpness=(1.0, 300.0))
+        want = dense_score_grid(ds, "expected_utility", policy(), grid)
+        assert np.count_nonzero(want == want.max()) >= 3
+        model = exhaustive_search(ds, "expected_utility", policy(), grid)
+        assert_is_candidate(model, grid, np.argmax(want))
+        assert model.bias[0] == -300.0 * 0.125
