@@ -341,13 +341,23 @@ def _load_rows(path, label_column: str = "label") -> Dataset:
     )
 
 
+# rows that save_csv formats per call of the csv writer; larger chunks are
+# no faster and leave the writing process with a higher peak memory
+_SAVE_ROWS = 1 << 6
+
+
 def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write features plus the label column; floats via repr (exact round-trip)."""
+    """Write features plus the label column; floats via repr (exact
+    round-trip), labels as integers. Rows are formatted a chunk at a time,
+    so the text of the whole file is never held at once."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        for start in range(0, dataset.n_examples, _SAVE_ROWS):
+            rows = slice(start, start + _SAVE_ROWS)
+            columns = dataset.features[rows].T.astype(np.float64).tolist()
+            labels = dataset.labels[rows].astype(np.int64).tolist()
+            writer.writerows(zip(*(map(repr, column) for column in columns), labels))
 
 
 def split(dataset: Dataset, fractions, seed: int = 0) -> list[Dataset]:

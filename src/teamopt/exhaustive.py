@@ -9,16 +9,19 @@ gradient descent can; ties go to the first-enumerated candidate in (theta,
 offset, sharpness) order.
 
 Both objectives start from one count pass. Per angle, one sort of the n
-projections of the data onto the angle's direction and three vectorized
-bisections give every candidate three counts: accepted and correct,
-accepted and wrong, solved. Along the sorted projections the predicted
-label switches once and the accepted examples form a low and a high tail,
-so the bisections locate the switch and the two tail ends for all
-candidates at once, and a running count of positive labels turns them into
-the counts: O(n log n + candidates * log n) per angle. The bisections
-evaluate the candidates' probabilities with the same expression as the
-dense evaluation and take their predicates from ``team_model``, so the
-counts are exact.
+projections of the data onto the angle's direction gives every candidate
+three counts: accepted and correct, accepted and wrong, solved. Along the
+sorted projections the predicted label switches once and the accepted
+examples form a low and a high tail, so three boundaries per candidate and
+a running count of positive labels give the counts. Each boundary is
+guessed by ``np.searchsorted`` at its crossing point (the switch at the
+offset, the tail ends at offset -+ logit(c)/s), one vectorized call of its
+predicate at the guess and the index before confirms it, and only the
+unconfirmed candidates are bisected: O(n log n + candidates) per angle; on
+8,000 scenario1 rows with the default policy none of the default grid's
+candidates is bisected. The predicates evaluate the candidates'
+probabilities with the same expression as the dense evaluation and come
+from ``team_model``, so the counts are exact whatever the guess.
 
 - Empirical utility takes three values only, so the counts give it
   exactly.
@@ -249,7 +252,9 @@ class _CountPass:
     Sorting the projections puts each candidate's predicted-0 examples
     first; among those the confidence falls along the sorted order and among
     the rest it rises, so the accepted examples are a prefix of the first
-    group and a suffix of the second, found by bisection.
+    group and a suffix of the second. Each of the three boundaries is
+    guessed at its crossing point, where s*(proj - offset) is 0 or +-logit(c),
+    and confirmed or, failing that, found by bisection.
     """
 
     def __init__(self, labels, offsets, sharpness, policy):
@@ -258,6 +263,12 @@ class _CountPass:
         # flat candidate order is the (offset, sharpness) enumeration order
         self.offsets = np.repeat(offsets, len(sharpness))
         self.sharpness = np.tile(sharpness, len(offsets))
+        # distance from the switch to the guessed accept ends: 0 when every
+        # example is accepted (c <= 1/2), infinite when none is (c >= 1,
+        # where only saturated probabilities reach c and bisection finds them)
+        c = policy.accept_threshold
+        reach = 0.0 if c <= 0.5 else math.inf if c >= 1.0 else math.log(c / (1.0 - c))
+        self.reach = reach / self.sharpness
 
     def __call__(self, proj: np.ndarray) -> np.ndarray:
         order = np.argsort(proj)
@@ -267,37 +278,44 @@ class _CountPass:
         n = len(proj)
         start = np.zeros(len(self.offsets), dtype=np.intp)
         end = np.full(len(self.offsets), n)
-        switch = self._first(self._predicts_positive, start, end)
-        low = self._first(self._solved, start, switch)
-        high = self._first(self._accepted, switch, end)
+        at = self.proj.searchsorted
+        switch = self._first(self._predicts_positive, start, end, at(self.offsets, "right"))
+        low = self._first(self._solved, start, switch, at(self.offsets - self.reach, "right"))
+        high = self._first(self._accepted, switch, end, at(self.offsets + self.reach))
         correct = low - positives[low] + positives[n] - positives[high]
         wrong = positives[low] + (n - high) - (positives[n] - positives[high])
         return np.stack([correct, wrong, high - low])
 
-    def _probs(self, index: np.ndarray) -> np.ndarray:
-        return _logits_to_probs(self.sharpness * (self.proj[index] - self.offsets))
+    def _probs(self, index: np.ndarray, cand=slice(None)) -> np.ndarray:
+        """Probabilities of the candidates ``cand`` at the sorted ``index``."""
+        return _logits_to_probs(self.sharpness[cand] * (self.proj[index] - self.offsets[cand]))
 
-    def _predicts_positive(self, index):
-        return predicted_labels(self._probs(index)) == 1
+    def _predicts_positive(self, index, cand=slice(None)):
+        return predicted_labels(self._probs(index, cand)) == 1
 
-    def _accepted(self, index):
-        return utilities(self._probs(index), 1, self.policy, "empirical_utility")[0] > 0.0
+    def _accepted(self, index, cand=slice(None)):
+        return utilities(self._probs(index, cand), 1, self.policy, "empirical_utility")[0] > 0.0
 
-    def _solved(self, index):
-        return ~self._accepted(index)
+    def _solved(self, index, cand=slice(None)):
+        return ~self._accepted(index, cand)
 
-    def _first(self, predicate, lo, hi):
+    def _first(self, predicate, lo, hi, guess):
         """Per candidate, the first index in [lo, hi) where ``predicate``
-        holds, or hi; the predicate must be false before it and true after."""
-        last = len(self.proj) - 1
-        while True:
-            open_ = lo < hi
-            if not open_.any():
-                return lo
-            mid = (lo + hi) // 2
-            holds = predicate(np.minimum(mid, last))
-            hi = np.where(open_ & holds, mid, hi)
-            lo = np.where(open_ & ~holds, mid + 1, lo)
+        holds, or hi; the predicate must be false before it and true after.
+        One call of the predicate at guess - 1 and guess settles a right
+        guess; bisection of the candidates still open settles the rest, so
+        the result does not depend on the guess."""
+        lo, hi = lo.copy(), hi.copy()
+        cand = np.flatnonzero(lo < hi)
+        # each row of probes holds one index in [lo, hi) per open candidate
+        probes = np.clip(guess[cand] + np.array([[-1], [0]]), lo[cand], hi[cand] - 1)
+        while len(cand):
+            holds = predicate(probes, cand)
+            hi[cand] = np.where(holds, probes, hi[cand]).min(axis=0)
+            lo[cand] = np.where(holds, lo[cand], probes + 1).max(axis=0)
+            cand = cand[lo[cand] < hi[cand]]
+            probes = ((lo[cand] + hi[cand]) // 2)[None]
+        return lo
 
 
 def mismatch_columns(

@@ -1,12 +1,18 @@
 """Shared test utilities: random models, single-example forward and backward
 passes, the one-example team-utility reference, the finite-difference
 gradient oracle, the unblocked forward, per-array backward and Adam oracles,
-the dense exhaustive-search scorer, and hypothesis strategies for policies
-and model outputs."""
+the dense exhaustive-search scorer, the bisection-only count pass, the
+row-by-row CSV writer, digests of the outputs that BLAS threading could
+change, and hypothesis strategies for policies and model outputs."""
+
+import csv
+import hashlib
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+from teamopt import cli, data
 from teamopt.classifiers import (
     LOGIT_CLAMP,
     ForwardCache,
@@ -16,6 +22,7 @@ from teamopt.classifiers import (
     init_model,
     sigmoid,
 )
+from teamopt.exhaustive import _CountPass
 from teamopt.losses import batch_loss
 from teamopt.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from teamopt.team_model import HumanPolicy, UtilityParams, utilities
@@ -175,6 +182,43 @@ def per_array_backward(model, cache, d_prob1):
     }
 
 
+def pass_digest(kind, n, seed=0):
+    """sha1 of forward_batch's prob1 and z on n random rows and of
+    backward_batch's gradients from its cache."""
+    model = random_model(kind, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    prob1, cache = forward_batch(model, X)
+    grads = backward_batch(model, cache, rng.normal(size=n))
+    digest = hashlib.sha1()
+    for array in (prob1, cache.z, *grads.parameters().values()):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def cli_digests(eval_rows):
+    """sha1 of the files that a 1-seed MLP ``train --loss team`` and an
+    ``eval`` of its team model on ``eval_rows`` scenario1 rows write, one per
+    command, run in the current directory."""
+    data.save_csv(data.gen_scenario1(1000, seed=1), "train.csv")
+    data.save_csv(data.gen_scenario1(eval_rows, seed=2), "eval.csv")
+    commands = {
+        "train": ["train", "--data", "train.csv", "--model", "mlp", "--loss", "team",
+                  "--seeds", "1", "--epochs", "5", "--out", "train"],
+        "eval": ["eval", "--data", "eval.csv", "--model-file", "train/models/team_seed0.json",
+                 "--out", "eval"],
+    }
+    digests = {}
+    for name, argv in commands.items():
+        assert cli.main(argv) == 0
+        digest = hashlib.sha1()
+        for path in sorted(Path(name).rglob("*")):
+            if path.is_file():
+                digest.update(str(path).encode() + b"\0" + path.read_bytes())
+        digests[name] = digest.hexdigest()
+    return digests
+
+
 def model_of(arrays):
     """A model holding the given arrays, one per parameter in ``parameters()``
     order: a gradient laid out like any model of that kind and width."""
@@ -214,6 +258,50 @@ def dense_score_grid(dataset, objective, policy, grid):
             prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
             scores[ai, :, si] = utilities(prob1, y, policy, objective)[1].mean(axis=0)
     return scores
+
+
+class BisectionCountPass(_CountPass):
+    """_CountPass that finds every boundary by bisection from the whole
+    range, without a guess; the reference the guessed boundaries are tested
+    against."""
+
+    def __call__(self, proj: np.ndarray) -> np.ndarray:
+        order = np.argsort(proj)
+        self.proj = proj[order]
+        # positives[i]: positive labels among the first i sorted examples
+        positives = np.concatenate(([0], np.cumsum(self.labels[order] == 1)))
+        n = len(proj)
+        start = np.zeros(len(self.offsets), dtype=np.intp)
+        end = np.full(len(self.offsets), n)
+        switch = self._first(self._predicts_positive, start, end)
+        low = self._first(self._solved, start, switch)
+        high = self._first(self._accepted, switch, end)
+        correct = low - positives[low] + positives[n] - positives[high]
+        wrong = positives[low] + (n - high) - (positives[n] - positives[high])
+        return np.stack([correct, wrong, high - low])
+
+    def _first(self, predicate, lo, hi):
+        """Per candidate, the first index in [lo, hi) where ``predicate``
+        holds, or hi; the predicate must be false before it and true after."""
+        last = len(self.proj) - 1
+        while True:
+            open_ = lo < hi
+            if not open_.any():
+                return lo
+            mid = (lo + hi) // 2
+            holds = predicate(np.minimum(mid, last))
+            hi = np.where(open_ & holds, mid, hi)
+            lo = np.where(open_ & ~holds, mid + 1, lo)
+
+
+def save_csv_rows(dataset, path, label_column="label"):
+    """data.save_csv one row at a time, each value through repr(float(v));
+    the reference the chunked writer is tested against."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(dataset.feature_names) + [label_column])
+        for row, label in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 def unchecked_params(beta, lam, human_accuracy):

@@ -148,7 +148,57 @@ BLOCKED_SIZES = [
     1, 32, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
     2 * BLOCK_ROWS + 7, 3 * BLOCK_ROWS + 1, 400_003,
 ]
-ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# eval on two full blocks and a remainder; forward runs one matmul per block
+EVAL_ROWS = 2 * BLOCK_ROWS + 3
+# sizes whose backward_batch bits differ between one and two BLAS threads
+THREAD_DEPENDENT = {
+    "linear": {400_003},
+    "mlp": {2 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7, 3 * BLOCK_ROWS + 1, 400_003},
+}
+
+
+def run_fresh(code, threads, cwd=None):
+    """The last line that ``code`` prints, read as JSON, run in a fresh
+    interpreter whose BLAS uses the given number of threads."""
+    paths = [str(Path(classifiers.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {
+        **os.environ, **dict.fromkeys(THREAD_VARIABLES, str(threads)),
+        "PYTHONPATH": os.pathsep.join(paths),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def thread_case(kind, n):
+    if n not in THREAD_DEPENDENT[kind]:
+        return f"{kind}-{n}"
+    return pytest.param(f"{kind}-{n}", marks=pytest.mark.xfail(
+        len(os.sched_getaffinity(0)) > 1, strict=True,
+        reason=f"backward_batch's {kind} gradients at {n} rows differ in their last bits "
+        "between one and two BLAS threads",
+    ))
+
+
+@pytest.fixture(scope="module")
+def digests_by_threads():
+    """helpers.pass_digest for each kind and blocked size, and
+    helpers.cli_digests, run once in a fresh interpreter whose BLAS uses one
+    thread and once in one whose BLAS uses two."""
+    code = (
+        "import json, helpers\n"
+        "passes = {f'{k}-{n}': helpers.pass_digest(k, n)"
+        f" for k in ('linear', 'mlp') for n in {BLOCKED_SIZES}}}\n"
+        f"print(json.dumps({{**passes, **helpers.cli_digests({EVAL_ROWS})}}))"
+    )
+    runs = {}
+    for threads in (1, 2):
+        with tempfile.TemporaryDirectory() as tmp:
+            runs[threads] = run_fresh(code, threads, cwd=tmp)
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -164,11 +214,7 @@ def one_thread_mismatches():
         "print(json.dumps({f'{k}-{n}': helpers.blocked_pass_mismatches(k, n)"
         f" for k in ('linear', 'mlp') for n in {BLOCKED_SIZES}}}))"
     )
-    paths = [str(Path(classifiers.__file__).parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": os.pathsep.join(paths)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return run_fresh(code, 1)
 
 
 class TestBlockedInference:
@@ -178,6 +224,14 @@ class TestBlockedInference:
         # forward's prob1 and z, and backward's gradients from its cache
         mismatches = one_thread_mismatches[f"{kind}-{n}"]
         assert mismatches == [], f"this BLAS breaks the blocked pass's bits in {mismatches}"
+
+    @pytest.mark.parametrize(
+        "case",
+        [thread_case(kind, n) for kind in ("linear", "mlp") for n in BLOCKED_SIZES]
+        + ["train", "eval"],
+    )
+    def test_same_bytes_under_one_and_two_blas_threads(self, digests_by_threads, case):
+        assert digests_by_threads[1][case] == digests_by_threads[2][case]
 
     @pytest.mark.parametrize("n, kept", [(2 * BLOCK_ROWS - 1, True), (2 * BLOCK_ROWS, False)])
     def test_activations_kept_only_for_one_block(self, n, kept):

@@ -4,12 +4,15 @@ import csv
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import save_csv_rows
+from teamopt import data as data_module
 from teamopt.analysis import evaluate
 from teamopt.classifiers import Model
 from teamopt.data import (
@@ -380,6 +383,58 @@ class TestCsv:
             parsed = _load_parsed(path, "label")
             assert parsed is not None
             assert _outcome(lambda: parsed) == _outcome(lambda: _load_rows(path))
+
+
+# names that csv must quote, and one that needs no quoting
+NAMES = ("x1", "a,b", 'say "hi"', "two\nlines", "cr\rreturn", " padded ", "\u00fcml\u00e4ut")
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308, 0.1)
+
+
+@st.composite
+def saved_datasets(draw):
+    """(dataset, label column) pairs for the save_csv tests: 1 to 5
+    features, values including -0.0, subnormals and +-1e308, feature names
+    that need quoting, labels of several dtypes, and label columns other
+    than "label"."""
+    n = draw(st.sampled_from([1, 2, 7]) | st.integers(1, 40))
+    d = draw(st.sampled_from([1, 5]) | st.integers(1, 5))
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    label_column = draw(st.sampled_from(["label", "y", "the, label", 'q"uote']))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=d, max_size=d, unique=True))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.bool_, np.float64]))
+    dataset = Dataset(
+        features=np.array(rows, dtype=np.float64), labels=labels.astype(dtype),
+        feature_names=tuple(names),
+    )
+    return dataset, label_column
+
+
+class TestSaveCsv:
+    """save_csv formats a chunk of rows at a time and writes the bytes of
+    the row-by-row writer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(saved=saved_datasets(), chunk=st.sampled_from([1, 3, data_module._SAVE_ROWS]))
+    def test_bytes_equal_the_row_loop_and_load_back_exactly(self, saved, chunk):
+        dataset, label_column = saved
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            with mock.patch.object(data_module, "_SAVE_ROWS", chunk):
+                save_csv(dataset, got, label_column)
+            save_csv_rows(dataset, want, label_column)
+            assert got.read_bytes() == want.read_bytes()
+            loaded = load_csv(got, label_column)
+        assert loaded.features.tobytes() == dataset.features.tobytes()
+        assert np.array_equal(loaded.labels, dataset.labels)
+        assert loaded.feature_names == dataset.feature_names
+
+    def test_bytes_across_chunk_edges(self, tmp_path):
+        ds = gen_scenario1(2 * data_module._SAVE_ROWS + 1, seed=3)
+        save_csv(ds, tmp_path / "got.csv")
+        save_csv_rows(ds, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSplit:

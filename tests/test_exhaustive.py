@@ -2,17 +2,25 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_score_grid, policies, scalar_utility, unchecked_params
+from helpers import (
+    BisectionCountPass,
+    dense_score_grid,
+    policies,
+    scalar_utility,
+    unchecked_params,
+)
 from teamopt.analysis import Metrics, evaluate
 from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1, split, standardize
 from teamopt import exhaustive as exhaustive_module
 from teamopt.exhaustive import (
     MISMATCH_COLUMNS,
+    OBJECTIVES,
     LinearGrid,
+    _CountPass,
     _score_grid,
     exhaustive_search,
     mismatch_columns,
@@ -342,6 +350,20 @@ class TestScoreGridOracle:
         assert_equal_within_rounding(got, want)
 
 
+def lattice_problem():
+    """Half-integer lattice labelled by the sign of x1, each point three
+    times: projections repeat, and at sharpness 300 the offsets 0.125, 0.25
+    and 0.375 all separate it with saturated probabilities."""
+    ticks = np.arange(-2.0, 2.5, 0.5)
+    X = np.array([(a, b) for a in ticks for b in ticks] * 3)
+    ds = Dataset(
+        features=X, labels=(X[:, 0] > 0.0).astype(np.int64), feature_names=("x1", "x2")
+    )
+    return ds, LinearGrid(
+        n_angles=4, n_offsets=17, offset_range=(-1.0, 1.0), sharpness=(1.0, 300.0)
+    )
+
+
 class TestPruning:
     """The expected-utility search evaluates densely only the candidates
     whose count bound can reach the maximum."""
@@ -378,17 +400,107 @@ class TestPruning:
         assert_is_candidate(model, grid, 0)
 
     def test_tied_maxima_on_a_lattice_go_to_the_first(self):
-        # half-integer lattice labelled by the sign of x1: at sharpness 300
-        # the offsets 0.125, 0.25 and 0.375 all separate it with saturated
-        # probabilities, so their scores tie exactly
-        ticks = np.arange(-2.0, 2.5, 0.5)
-        X = np.array([(a, b) for a in ticks for b in ticks] * 3)
-        ds = Dataset(
-            features=X, labels=(X[:, 0] > 0.0).astype(np.int64), feature_names=("x1", "x2")
-        )
-        grid = LinearGrid(n_angles=4, n_offsets=17, offset_range=(-1.0, 1.0), sharpness=(1.0, 300.0))
+        # the saturated separating offsets' scores tie exactly
+        ds, grid = lattice_problem()
         want = dense_score_grid(ds, "expected_utility", policy(), grid)
         assert np.count_nonzero(want == want.max()) >= 3
         model = exhaustive_search(ds, "expected_utility", policy(), grid)
         assert_is_candidate(model, grid, np.argmax(want))
         assert model.bias[0] == -300.0 * 0.125
+
+
+def single_example_problem():
+    ds = Dataset(
+        features=np.array([[0.3, -1.2]]), labels=np.array([1]), feature_names=("x1", "x2")
+    )
+    return ds, LinearGrid(n_angles=3, n_offsets=5, sharpness=(0.25, 300.0))
+
+
+# c = 1 exactly: only saturated probabilities are accepted
+CERTAIN = HumanPolicy(UtilityParams(1.0, 0.0, 1.0))
+# c = 0.25 <= 1/2, every example accepted; c = 1.25 > 1, none is
+ALWAYS = HumanPolicy(UtilityParams(1.0, 1.5, 1.0), 0.6)
+NEVER = HumanPolicy(unchecked_params(1.0, 0.5, 1.5))
+
+count_policies = policies() | st.builds(
+    lambda beta, p: HumanPolicy(UtilityParams(beta, 0.0, 1.0), p),
+    st.floats(1.0, 10.0), st.floats(0.01, 1.0),
+)
+
+
+def count_passes(dataset, grid, pol):
+    """The guessing count pass, the bisection oracle, and the projections
+    of the data on each of the grid's angles."""
+    args = (dataset.labels, grid.offsets(), np.asarray(grid.sharpness), pol)
+    projections = [
+        dataset.features @ np.array([np.cos(angle), np.sin(angle)]) for angle in grid.angles()
+    ]
+    return _CountPass(*args), BisectionCountPass(*args), projections
+
+
+class TestCountPass:
+    """The count pass guesses each boundary at its crossing point; the
+    predicates decide it, so the counts are the bisection oracle's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=search_problems(), pol=count_policies)
+    @example(problem=lattice_problem(), pol=policy())
+    @example(problem=lattice_problem(), pol=CERTAIN)
+    @example(problem=single_example_problem(), pol=CERTAIN)
+    @example(problem=single_example_problem(), pol=ALWAYS)
+    @example(problem=lattice_problem(), pol=NEVER)
+    def test_counts_equal_the_bisection_oracle(self, problem, pol):
+        count, oracle, projections = count_passes(*problem, pol)
+        for proj in projections:
+            assert np.array_equal(count(proj), oracle(proj))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=search_problems(), pol=count_policies,
+        kind=st.sampled_from(["random", "out of range", "lo", "hi"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(problem=lattice_problem(), pol=CERTAIN, kind="random", seed=0)
+    def test_any_guess_gives_the_oracle_index(self, problem, pol, kind, seed):
+        count, oracle, projections = count_passes(*problem, pol)
+        proj = projections[0]
+        count(proj)
+        oracle(proj)
+        n, m = len(proj), len(count.offsets)
+        rng = np.random.default_rng(seed)
+        start, end = np.zeros(m, dtype=np.intp), np.full(m, n)
+        switch = oracle._first(oracle._predicts_positive, start, end)
+        for name, lo, hi in (
+            ("_predicts_positive", start, end),
+            ("_solved", start, switch),
+            ("_accepted", switch, end),
+        ):
+            guess = {
+                "random": rng.integers(0, n, size=m, endpoint=True),
+                "out of range": np.where(
+                    rng.random(m) < 0.5,
+                    rng.integers(-n - 3, 0, size=m),
+                    rng.integers(n + 1, 2 * n + 4, size=m),
+                ),
+                "lo": lo,
+                "hi": hi,
+            }[kind]
+            got = count._first(getattr(count, name), lo, hi, guess)
+            assert np.array_equal(got, oracle._first(getattr(oracle, name), lo, hi))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_no_candidate_bisects_on_scenario1(self, monkeypatch, objective):
+        # one predicate call per boundary and angle confirms every guess
+        calls = []
+        probs = _CountPass._probs
+
+        def counted(self, index, cand=slice(None)):
+            calls.append(index.shape)
+            return probs(self, index, cand)
+
+        monkeypatch.setattr(_CountPass, "_probs", counted)
+        (ds,) = standardize(gen_scenario1(2000, seed=0))
+        grid = LinearGrid(n_angles=24)
+        exhaustive_search(ds, objective, policy(), grid)
+        assert len(calls) == 3 * grid.n_angles
+        assert all(shape[0] == 2 for shape in calls)
