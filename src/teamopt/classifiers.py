@@ -22,6 +22,7 @@ __all__ = [
     "Model",
     "ForwardCache",
     "sigmoid",
+    "clamped_sigmoid",
     "init_model",
     "forward_batch",
     "backward_batch",
@@ -46,22 +47,26 @@ HIDDEN = {"linear": (), "mlp": (50, 10)}
 BLOCK_ROWS = 8192
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (no overflow for any finite z).
 
     1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|) in
     [0, 1]; the numerator max(e, [z >= 0]) is 1 or e without a masked
-    select. Given ``out``, a float64 array of z's shape, the result goes
-    there and z serves as scratch, so a float64 array z is overwritten:
-    the allocation-free form for callers that reuse both buffers.
+    select.
     """
     z = np.asarray(z, dtype=np.float64)
-    # without out, every step writes a fresh array (out=None)
-    e_out, p_out = (None, None) if out is None else (z, out)
-    numerator = np.greater_equal(z, 0.0, out=p_out)
-    e = np.exp(np.negative(np.abs(z, out=e_out), out=e_out), out=e_out)
-    numerator = np.maximum(numerator, e, out=p_out)
-    return np.divide(numerator, np.add(1.0, e, out=e_out), out=p_out)
+    e = np.exp(-np.abs(z))
+    p = np.maximum(z >= 0.0, e)
+    e += 1.0
+    p /= e
+    return p
+
+
+def clamped_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The positive-class probability of logits z: the sigmoid of z clamped
+    to +-LOGIT_CLAMP, with np.clip's bits for finite z."""
+    # two ufunc calls, without np.clip's Python-level dispatch
+    return sigmoid(np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP))
 
 
 # Where each array sits in a flat buffer: (name, slice, shape), in order, with
@@ -207,11 +212,6 @@ def _check_batch(model: Model, features: np.ndarray) -> np.ndarray:
     return X
 
 
-def _clamp(z: np.ndarray) -> np.ndarray:
-    # np.clip's bits through two ufunc calls, without its Python-level dispatch
-    return np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP)
-
-
 def _layers(model: Model, X: np.ndarray):
     """The logits for the rows of X and each hidden layer's (pre-activation,
     activation) pair."""
@@ -240,7 +240,7 @@ def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
         edges = [k * BLOCK_ROWS for k in range(n_blocks)] + [len(X)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             z[lo:hi] = _layers(model, X[lo:hi])[0]
-    prob1 = sigmoid(_clamp(z))
+    prob1 = clamped_sigmoid(z)
     return prob1, ForwardCache(X, z, prob1, hidden, len(model.layers))
 
 

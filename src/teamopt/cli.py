@@ -160,9 +160,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _write_resolved(path: Path, resolved: dict) -> None:
+def _write_json(path: Path, value: dict) -> None:
+    """Every JSON file the CLI writes itself: indented, keys sorted."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
 def _policy(resolved: dict) -> HumanPolicy:
@@ -202,7 +203,7 @@ def cmd_gen_data(resolved: dict) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_csv(ds, out)
     # the output here is a file, so the resolved config sits next to it
-    _write_resolved(Path(f"{out}.config.resolved.json"), resolved)
+    _write_json(Path(f"{out}.config.resolved.json"), resolved)
     print(
         f"wrote {out}: n={ds.n_examples} features={ds.n_features} "
         f"positive_fraction={ds.positive_fraction:.4f}"
@@ -251,9 +252,9 @@ def cmd_train(resolved: dict) -> int:
             f"over {resolved['seeds']} seeds"
         )
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
+    _write_json(out_dir / "config.resolved.json", resolved)
     (out_dir / "models").mkdir(exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "report.json", report)
     for stage, models in stages.items():
         for s, model in enumerate(models):
             save_model(model, out_dir / "models" / f"{stage}_seed{s}.json")
@@ -268,7 +269,7 @@ def cmd_eval(resolved: dict) -> int:
     model = _load_model_for(resolved["model_file"], dataset)
     policy = _policy(resolved)
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
+    _write_json(out_dir / "config.resolved.json", resolved)
     metrics = analysis.evaluate(model, dataset, policy)
     analysis.metrics_to_json(metrics, out_dir / "metrics.json")
     curves = analysis.behavior_curves(model, dataset, policy, n_bins=resolved["bins"])
@@ -302,7 +303,7 @@ def cmd_exhaustive(resolved: dict) -> int:
         k: float(sum(r[k] for r in rows) / len(rows)) for k in exhaustive.MISMATCH_COLUMNS[1:]
     }
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
+    _write_json(out_dir / "config.resolved.json", resolved)
     exhaustive.write_mismatch_csv([mean_row], out_dir / "mismatch.csv")
     exhaustive.write_mismatch_csv(rows, out_dir / "mismatch_per_seed.csv")
     print(
@@ -320,7 +321,7 @@ def cmd_sweep(resolved: dict) -> int:
         baseline_config=_train_config(resolved), seed=resolved["seed"], jobs=resolved["jobs"],
     )
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
+    _write_json(out_dir / "config.resolved.json", resolved)
     pipeline.write_sweep_csv(points, out_dir / "sweep.csv")
     for p in points:
         print(
@@ -338,7 +339,7 @@ def cmd_analyze(resolved: dict) -> int:
     team_model = _load_model_for(resolved["team_model"], dataset)
     policy = _policy(resolved)
     out_dir = Path(resolved["out"])
-    _write_resolved(out_dir / "config.resolved.json", resolved)
+    _write_json(out_dir / "config.resolved.json", resolved)
     baseline = analysis.report(baseline_model, dataset, policy, n_bins=resolved["bins"])
     team = analysis.report(team_model, dataset, policy, n_bins=resolved["bins"])
     diff = analysis.compare_reports(baseline, team)
@@ -348,7 +349,7 @@ def cmd_analyze(resolved: dict) -> int:
     analysis.curves_to_csv(team.curves, out_dir / "team_curves.csv")
     # the accept-region and metric deltas; the per-bin curves go to no file
     diff_dict = {k: v for k, v in vars(diff).items() if isinstance(v, float)}
-    (out_dir / "diff.json").write_text(json.dumps(diff_dict, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "diff.json", diff_dict)
     print(json.dumps(diff_dict, sort_keys=True))
     return 0
 

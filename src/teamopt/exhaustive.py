@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import LOGIT_CLAMP, Model, sigmoid
+from .classifiers import Model, clamped_sigmoid
 from .data import Dataset
 from .team_model import HumanPolicy, predicted_labels, utilities
 
@@ -232,16 +232,10 @@ def _score_grid(
     return (sums / n).reshape(shape)
 
 
-def _logits_to_probs(z: np.ndarray) -> np.ndarray:
-    """The candidates' positive-class probabilities from z = s*(proj - offset),
-    the expression the classifiers use; z is overwritten."""
-    return sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP, out=z))
-
-
 def _expected_sum(proj, labels, offset, sharpness, policy) -> float:
     """One candidate's total expected utility over the examples, summed left
     to right in row order (numpy would sum a 1-d array pairwise)."""
-    prob1 = _logits_to_probs((proj - offset) * sharpness)
+    prob1 = clamped_sigmoid((proj - offset) * sharpness)
     return float(np.cumsum(utilities(prob1, labels, policy, "expected_utility")[1])[-1])
 
 
@@ -288,7 +282,7 @@ class _CountPass:
 
     def _probs(self, index: np.ndarray, cand=slice(None)) -> np.ndarray:
         """Probabilities of the candidates ``cand`` at the sorted ``index``."""
-        return _logits_to_probs(self.sharpness[cand] * (self.proj[index] - self.offsets[cand]))
+        return clamped_sigmoid(self.sharpness[cand] * (self.proj[index] - self.offsets[cand]))
 
     def _predicts_positive(self, index, cand=slice(None)):
         return predicted_labels(self._probs(index, cand)) == 1

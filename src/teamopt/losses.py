@@ -34,32 +34,16 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which objective to optimize, and the policy it is evaluated under.
-
-    ``team_offset`` is the positive constant added to the utility inside the
-    team loss's logarithm; left unset it defaults to beta, which makes the
-    accept branch exactly log-loss shaped (shifted by -log(1+beta)).
-    """
+    """Which objective to optimize, and the policy it is evaluated under."""
 
     kind: str
     policy: HumanPolicy | None = None
-    team_offset: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.kind != "log_loss" and self.policy is None:
             raise ValueError(f"{self.kind} requires a policy")
-        if self.team_offset is not None and not self.team_offset > 0.0:
-            raise ValueError(f"team_offset must be > 0, got {self.team_offset}")
-
-    @property
-    def offset(self) -> float:
-        if self.team_offset is not None:
-            return self.team_offset
-        if self.policy is None:
-            raise ValueError("team offset undefined without a policy")
-        return self.policy.params.beta
 
 
 def per_example_loss(prob1, labels, spec: LossSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +51,8 @@ def per_example_loss(prob1, labels, spec: LossSpec) -> tuple[np.ndarray, np.ndar
 
     ``log_loss`` is -log h[y] (h floored at 1e-12); ``expected_utility_loss``
     is the negated team utility, with gradient -p_accept*(1+beta) w.r.t. h[y];
-    ``team_loss`` is -log(utility + offset). Where the overseer solves
+    ``team_loss`` is -log(utility + beta), whose accept branch is exactly
+    log-loss shaped (shifted by -log(1+beta)). Where the overseer solves
     (p_accept == 0) both team losses are flat with exactly zero gradient.
     """
     p1 = np.asarray(prob1, dtype=np.float64)
@@ -77,10 +62,11 @@ def per_example_loss(prob1, labels, spec: LossSpec) -> tuple[np.ndarray, np.ndar
         clamped = np.maximum(true_label_probs(p1, y), PROB_FLOOR)
         return -np.log(clamped), (-1.0 / clamped) * to_p1
     p_accept, psi = utilities(p1, y, spec.policy)
-    slope = 1.0 + spec.policy.params.beta
+    beta = spec.policy.params.beta
+    slope = 1.0 + beta
     if spec.kind == "expected_utility_loss":
         return -psi, -p_accept * slope * to_p1
-    shifted = np.maximum(psi + spec.offset, PROB_FLOOR)
+    shifted = np.maximum(psi + beta, PROB_FLOOR)
     grad = -p_accept * slope / shifted
     return -np.log(shifted), grad * to_p1
 

@@ -8,7 +8,6 @@ finish below its initialization on the checkpoint metric.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +28,6 @@ __all__ = [
     "scheduler_step",
     "validation_metric",
     "train",
-    "history_to_csv",
 ]
 
 ADAM_BETA1 = 0.9
@@ -255,20 +253,3 @@ def train(
         initial_val_metric=initial,
         final_model=model,
     )
-
-
-def history_to_csv(result: TrainResult, path) -> None:
-    """Export the epoch history; epoch 0 carries the pre-training evaluation."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_metric", "learning_rate"])
-        writer.writerow([0, "", repr(result.initial_val_metric), ""])
-        for rec in result.history:
-            writer.writerow(
-                [
-                    rec.epoch,
-                    repr(rec.train_loss),
-                    repr(rec.val_metric),
-                    repr(rec.learning_rate),
-                ]
-            )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -49,7 +48,6 @@ __all__ = [
     "mismatch_seed",
     "run_experiment",
     "sweep",
-    "report_to_json",
     "write_sweep_csv",
 ]
 
@@ -135,7 +133,8 @@ def cross_validate(
 
     Divergent cells (non-finite training loss) score -inf and are never
     selected; RuntimeError if every cell diverges. Ties break toward smaller
-    learning rate, then larger L2 weight, then larger batch.
+    learning rate, then larger L2 weight, then larger batch, then smaller
+    decay, then smaller patience.
     """
     n = dataset.n_examples
     if n < N_FOLDS * 5:
@@ -405,13 +404,9 @@ def sweep(
     lam: float,
     n_seeds: int = 10,
     *,
-    accept_probability: float = 1.0,
     baseline_config: TrainConfig | None = None,
-    grid: GridSpec | None = None,
-    team_loss_kind: str = "expected_utility_loss",
     seed: int = 0,
     jobs: int = 1,
-    baseline_model: Model | None = None,
 ) -> list[SweepPoint]:
     """The experiment over the (human accuracy) x (penalty) product grid, as
     one plan: each point equals ``run_experiment`` at its parameters, while
@@ -424,9 +419,11 @@ def sweep(
     ]
     if not points:
         return []
+    # run_experiment's defaults: full compliance, no grid, no supplied reference
     planned = _plan(
-        dataset, model_kind, points, n_seeds, accept_probability, baseline_config,
-        grid, team_loss_kind, seed, baseline_model, jobs,
+        dataset, model_kind, points, n_seeds, accept_probability=1.0,
+        baseline_config=baseline_config, grid=None, team_loss_kind="expected_utility_loss",
+        seed=seed, baseline_model=None, jobs=jobs,
     )
     return [
         SweepPoint(
@@ -438,12 +435,6 @@ def sweep(
         )
         for report, _ in planned
     ]
-
-
-def report_to_json(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_sweep_csv(points: list[SweepPoint], path) -> None:

@@ -120,7 +120,6 @@ def utilities(
     labels,
     policy: HumanPolicy,
     objective: str = "expected_utility",
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-example accept probability and team utility; the vectorized kernel.
 
@@ -132,42 +131,33 @@ def utilities(
     earns 1 - lam when right, with probability a, and -beta - lam when wrong.
     With accept probability p the utility is p*accept + (1-p)*solve.
 
-    Both results have the shape of ``prob1``. Like a numpy ufunc, the kernel
-    writes them into ``out=(p_accept, utility)`` when given, float64 arrays
-    of that shape, and returns those arrays.
+    Both results have the shape of ``prob1``.
     """
     params = policy.params
     # confidences() and true_label_probs() inlined to share 1-p: the kernel
-    # runs once per mini-batch and per exhaustive-search block
+    # runs once per mini-batch
     p = np.asarray(prob1, dtype=np.float64)
     positive = np.equal(labels, 1)
-    # without out, every step writes a fresh array (out=None)
-    p_accept_out, utility_out = (None, None) if out is None else out
-    u = np.subtract(1.0, p, out=utility_out)
-    accept = np.maximum(p, u, out=p_accept_out) >= params.accept_threshold
+    q = 1.0 - p
     # accept*p is where(accept, p, 0.0) for the policy's p in (0, 1]
-    p_accept = np.multiply(accept, policy.accept_probability, out=p_accept_out)
+    p_accept = (np.maximum(p, q) >= params.accept_threshold) * policy.accept_probability
     if objective == "expected_utility":
-        # h[y]: p where y = 1, 1 - p elsewhere; asarray because a 0-d p
-        # makes 1 - p a numpy scalar, which copyto cannot write into
-        u = np.asarray(u)
-        np.copyto(u, p, where=positive)
-        u = np.multiply(u, 1.0 + params.beta, out=utility_out)
-        u = np.subtract(u, params.beta, out=utility_out)
+        # h[y]: p where y = 1, 1 - p elsewhere
+        u = np.where(positive, p, q)
+        u *= 1.0 + params.beta
+        u -= params.beta
     elif objective == "empirical_utility":
         # predicted_labels(p) == labels for 0/1 labels, without the int copy
         u = np.where((p > 0.5) == positive, 1.0, -params.beta)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    # p_accept*u + (1 - p_accept)*solve_utility. Given buffers, the solve
-    # term passes through the p_accept buffer, so that no temporary of the
-    # full size is allocated, and p_accept is written again after it.
-    u = np.multiply(p_accept, u, out=utility_out)
-    solve = np.subtract(1.0, p_accept, out=p_accept_out)
-    solve = np.multiply(solve, params.solve_utility, out=p_accept_out)
-    u = np.add(u, solve, out=utility_out)
-    if out is not None:
-        np.multiply(accept, policy.accept_probability, out=p_accept_out)
+    del q
+    # p_accept*u + (1 - p_accept)*solve_utility, on the kernel's own
+    # temporaries so that at most three arrays of the full size are live
+    u *= p_accept
+    solve = 1.0 - p_accept
+    solve *= params.solve_utility
+    u += solve
     return p_accept, u
 
 

@@ -23,6 +23,7 @@ from teamopt.classifiers import (
     HIDDEN,
     Model,
     backward_batch,
+    clamped_sigmoid,
     forward_batch,
     init_model,
     load_model,
@@ -86,12 +87,11 @@ class TestSigmoid:
         got, want = sigmoid(z), two_branch_sigmoid(z)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def test_out_form_writes_into_out(self):
-        z = np.array(self.EDGES + [0.3, -2.5])
-        want = sigmoid(z)
-        buf = np.empty_like(z)
-        assert sigmoid(z.copy(), out=buf) is buf
-        assert np.array_equal(buf.view(np.int64), want.view(np.int64))
+    def test_clamped_form_matches_clip(self):
+        z = np.array(self.EDGES + [499.9, -499.9, 1e308, -1e308, 0.3, -2.5])
+        want = sigmoid(np.clip(z, -classifiers.LOGIT_CLAMP, classifiers.LOGIT_CLAMP))
+        got = clamped_sigmoid(z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_zero_dimensional_input(self):
         assert sigmoid(0.0) == 0.5

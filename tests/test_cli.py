@@ -295,7 +295,7 @@ class TestConfigMerging:
         flags = _settings(data.draw, keys)
         resolved = _resolve_train(flags)
         with tempfile.TemporaryDirectory() as tmp:
-            cli._write_resolved(Path(tmp) / "config.resolved.json", resolved)
+            cli._write_json(Path(tmp) / "config.resolved.json", resolved)
             written = json.loads((Path(tmp) / "config.resolved.json").read_text())
         assert _resolve_train({}, written) == resolved
 
@@ -399,7 +399,7 @@ class TestFlagTable:
         resolved = cli._resolve(cli.build_parser().parse_args(argv))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.resolved.json"
-            cli._write_resolved(path, resolved)
+            cli._write_json(path, resolved)
             again = cli.build_parser().parse_args([*_REQUIRED[command], "--config", str(path)])
             assert cli._resolve(again) == resolved
 

@@ -38,8 +38,8 @@ def eu(pol):
     return LossSpec("expected_utility_loss", pol)
 
 
-def team(pol, offset=None):
-    return LossSpec("team_loss", pol, team_offset=offset)
+def team(pol):
+    return LossSpec("team_loss", pol)
 
 
 class TestLogLoss:
@@ -86,25 +86,19 @@ class TestTeamLoss:
         shift = np.log(1.0 + beta)
         hs = np.linspace(pol.accept_threshold + 1e-6, 1.0, 100)
         y = np.ones(100, dtype=int)
-        tv, _ = per_example_loss(hs, y, team(pol, offset=beta))
+        tv, _ = per_example_loss(hs, y, team(pol))
         lv, _ = per_example_loss(hs, y, LOG)
         np.testing.assert_allclose(tv - lv, -shift, rtol=0.0, atol=1e-12)
 
     def test_solve_branch_flat(self):
         value, grad = loss_at(0.6, team(policy()))
         assert grad == 0.0
-        # constant equals -log(solve utility + offset)
+        # constant equals -log(solve utility + beta)
         assert value == pytest.approx(-np.log(0.5 + 1.0), abs=1e-12)
 
     def test_reference_value(self):
-        value, _ = loss_at(1.0, team(policy(), offset=1.0))
+        value, _ = loss_at(1.0, team(policy()))
         assert value == pytest.approx(-np.log(2.0), abs=1e-12)
-
-    def test_default_offset_is_beta(self):
-        spec = LossSpec("team_loss", policy(beta=4.0))
-        assert spec.offset == 4.0
-        spec = LossSpec("team_loss", policy(beta=4.0), team_offset=0.5)
-        assert spec.offset == 0.5
 
 
 class TestPerExampleLoss:
@@ -128,8 +122,6 @@ class TestLossSpec:
             LossSpec("hinge")
         with pytest.raises(ValueError):
             LossSpec("expected_utility_loss")
-        with pytest.raises(ValueError):
-            LossSpec("team_loss", policy(), team_offset=0.0)
 
 
 class TestBatchLoss:

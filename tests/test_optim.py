@@ -1,6 +1,5 @@
 """Adam updates, the plateau scheduler, and the checkpointed training loop."""
 
-import csv
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from teamopt.optim import (
     SchedulerState,
     TrainConfig,
     adam_step,
-    history_to_csv,
     scheduler_step,
     train,
     validation_metric,
@@ -243,19 +241,3 @@ class TestTrain:
         config = TrainConfig(max_epochs=2, checkpoint_metric="expected_utility")
         with pytest.raises(ValueError):
             train(init_model("linear", 2), ds, ds, LossSpec("log_loss"), config)
-
-
-class TestHistoryExport:
-    def test_csv_round_trip(self, tmp_path):
-        ds = tiny_dataset()
-        result = train(
-            init_model("linear", 2), ds, ds, LossSpec("log_loss"), TrainConfig(max_epochs=7)
-        )
-        path = tmp_path / "history.csv"
-        history_to_csv(result, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["epoch", "train_loss", "val_metric", "learning_rate"]
-        assert len(rows) == 1 + 1 + 7  # header, epoch 0, epochs
-        assert rows[1][0] == "0"
-        assert float(rows[2][2]) == result.history[0].val_metric

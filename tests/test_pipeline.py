@@ -1,6 +1,6 @@
 """Cross-validation, the two-stage training protocol, and sweeps."""
 
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from teamopt.pipeline import (
     GridSpec,
     cross_validate,
     derive_seeds,
-    report_to_json,
     run_experiment,
     seed_splits,
     sweep,
@@ -106,8 +105,6 @@ class TestCrossValidate:
         for f, val_idx in enumerate(folds):
             train_idx = np.concatenate([folds[g] for g in range(5) if g != f])
             fold_train, fold_val = standardize(ds.subset(train_idx), ds.subset(val_idx))
-            from dataclasses import replace
-
             result = train(
                 init_model("linear", 2, seed=fold_seeds[f]),
                 fold_train,
@@ -227,6 +224,46 @@ class TestRunExperiment:
         )
         assert serial.to_dict() == parallel.to_dict()
 
+    def test_grid_cross_validated_once_on_accuracy(self, monkeypatch, trainings):
+        import teamopt.pipeline as pipeline
+
+        searches = []
+
+        def counted_cross_validate(*args, **kwargs):
+            selected = cross_validate(*args, **kwargs)
+            searches.append((args, selected))
+            return selected
+
+        monkeypatch.setattr(pipeline, "cross_validate", counted_cross_validate)
+        ds = gen_moons(400, seed=19)
+        grid = GridSpec((0.01, 0.1), (1e-3,), (32,), (0.1,), (5,))
+        # a checkpoint metric other than the reference's does not steer the
+        # search, and the cell in no grid axis survives it
+        config = TrainConfig(
+            learning_rate=0.5, batch_size=16, max_epochs=3, checkpoint_metric="expected_utility"
+        )
+        n_seeds = 2
+        run_experiment(
+            ds, "linear", UtilityParams(1.0, 0.5, 0.8), n_seeds=n_seeds,
+            baseline_config=config, grid=grid, seed=0,
+        )
+        ((args, selected),) = searches
+        assert args[2] == LossSpec("log_loss")
+        assert (selected.learning_rate, selected.batch_size) in [(0.01, 32), (0.1, 32)]
+        cells = len(list(grid.cells())) * 5
+        assert all(
+            spec == LossSpec("log_loss") and cfg.checkpoint_metric == "accuracy"
+            for spec, cfg, _ in trainings[:cells]
+        )
+        # every seed's reference and team run train under the selected cell
+        trained = trainings[cells:]
+        assert [spec.kind for spec, _, _ in trained] == [
+            "log_loss", "expected_utility_loss"
+        ] * n_seeds
+        for spec, cfg, _ in trained:
+            metric = "accuracy" if spec.kind == "log_loss" else "expected_utility"
+            assert replace(cfg, seed=selected.seed) == replace(selected, checkpoint_metric=metric)
+
     def test_supplied_baseline_model_is_warm_start_and_reference(self):
         ds = gen_scenario1(800, seed=16)
         params = UtilityParams(1.0, 0.5, 1.0)
@@ -252,15 +289,13 @@ class TestRunExperiment:
                 baseline_model=init_model(given, 2),
             )
 
-    def test_report_json(self, tmp_path):
+    def test_report_dict(self):
         ds = gen_moons(600, seed=12)
         rep = run_experiment(
             ds, "linear", UtilityParams(1.0, 0.5, 1.0), n_seeds=1,
             baseline_config=TrainConfig(max_epochs=5), seed=0,
         )
-        path = tmp_path / "report.json"
-        report_to_json(rep, path)
-        data = json.loads(path.read_text())
+        data = rep.to_dict()
         assert data["n_seeds"] == 1
         assert data["params"]["accept_threshold"] == 0.75
         assert len(data["per_seed"]) == 1
@@ -321,43 +356,6 @@ class TestSweep:
             baseline_config=TrainConfig(max_epochs=5), seed=0,
         )
         assert sweep(ds, "linear", **args, jobs=2) == sweep(ds, "linear", **args)
-
-    def test_grid_cross_validated_once_on_accuracy(self, monkeypatch, trainings):
-        import teamopt.pipeline as pipeline
-
-        searches = []
-
-        def counted_cross_validate(*args, **kwargs):
-            searches.append(args)
-            return cross_validate(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "cross_validate", counted_cross_validate)
-        ds = gen_moons(400, seed=19)
-        grid = GridSpec((0.01, 0.1), (1e-3,), (32,), (0.1,), (5,))
-        # a checkpoint metric other than the reference's does not steer the search
-        config = TrainConfig(max_epochs=3, checkpoint_metric="expected_utility")
-        sweep(
-            ds, "linear", a_values=[0.8, 1.0], beta_values=[1.0], lam=0.5, n_seeds=2,
-            baseline_config=config, grid=grid, seed=0,
-        )
-        assert len(searches) == 1
-        assert searches[0][2] == LossSpec("log_loss")
-        swept = [(spec, cfg) for spec, cfg, _ in trainings]
-        cells = len(list(grid.cells())) * 5
-        assert all(
-            spec == LossSpec("log_loss") and cfg.checkpoint_metric == "accuracy"
-            for spec, cfg in swept[:cells]
-        )
-        for a in (0.8, 1.0):
-            trainings.clear()
-            params = UtilityParams(beta=1.0, lam=0.5, human_accuracy=a)
-            run_experiment(
-                ds, "linear", params, n_seeds=2, baseline_config=config, grid=grid, seed=0
-            )
-            # the sweep trained this point's models under the same configs
-            pol = HumanPolicy(params)
-            own = [(spec, cfg) for spec, cfg in swept if spec.policy in (None, pol)]
-            assert own == [(spec, cfg) for spec, cfg, _ in trainings]
 
     def test_return_models_rejected_before_any_training(self, trainings):
         with pytest.raises(TypeError, match="return_models"):

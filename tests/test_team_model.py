@@ -202,16 +202,23 @@ class TestUtilitiesKernel:
         scalar = scalar_utility(prob1, label, pol)[1]
         assert abs(scalar - params.solve_utility) <= 1e-12
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data(), pol=policies(), objective=st.sampled_from(OBJECTIVES))
-    def test_out_buffers_receive_the_allocating_result(self, data, pol, objective):
+    def test_columns_match_one_dimensional_calls(self, data, pol, objective):
+        """An (n, k) prob1 against (n, 1) labels or the scalar label 1, the
+        shapes of the dense exhaustive-search reference and of the count
+        pass's probes, gives each column the bits of a 1-d call."""
         p1, y = data.draw(outputs(pol))
-        want = utilities(p1, y, pol, objective)
-        bufs = (np.full_like(p1, np.nan), np.full_like(p1, np.nan))
-        got = utilities(p1, y, pol, objective, out=bufs)
-        assert got[0] is bufs[0] and got[1] is bufs[1]
-        for g, w in zip(got, want):
-            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        k = data.draw(st.integers(1, 4))
+        shuffled = [data.draw(st.permutations(list(p1))) for _ in range(k - 1)]
+        prob = np.column_stack([p1, *shuffled])
+        for labels, column_labels in ((y[:, None], y), (1, np.ones_like(y))):
+            got = utilities(prob, labels, pol, objective)
+            for j in range(k):
+                want = utilities(prob[:, j], column_labels, pol, objective)
+                for g, w in zip(got, want):
+                    assert g.shape == prob.shape
+                    assert np.array_equal(g[:, j].view(np.int64), w.view(np.int64))
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_zero_dimensional_input(self, objective):
