@@ -299,6 +299,12 @@ class TestConfigMerging:
             written = json.loads((Path(tmp) / "config.resolved.json").read_text())
         assert _resolve_train({}, written) == resolved
 
+    def test_json_files_are_indented_with_sorted_keys(self, tmp_path):
+        value = {"seeds": 2, "a": [1.0, 0.5], "nested": {"z": None, "b": "x"}}
+        path = tmp_path / "new_dir" / "report.json"
+        cli._write_json(path, value)
+        assert path.read_text() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
     @settings(max_examples=50, deadline=None)
     @given(
         key=st.text(min_size=1, max_size=12).filter(

@@ -100,6 +100,15 @@ class TestTeamLoss:
         value, _ = loss_at(1.0, team(policy()))
         assert value == pytest.approx(-np.log(2.0), abs=1e-12)
 
+    def test_offset_is_policy_beta(self):
+        """The loss is -log(utility + beta) on both branches; a beta other
+        than 1 tells the offset apart from a constant."""
+        pol = policy(beta=4.0, lam=0.3, a=0.9, p=0.7)
+        hs = np.linspace(0.0, 1.0, 101)
+        values, _ = per_example_loss(hs, np.ones(101, dtype=int), team(pol))
+        want = [-np.log(scalar_utility(h, 1, pol)[1] + 4.0) for h in hs]
+        np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12)
+
 
 class TestPerExampleLoss:
     @settings(max_examples=200, deadline=None)
