@@ -16,7 +16,6 @@ bins are presentation only.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "report",
     "compare_reports",
     "curves_to_csv",
-    "metrics_to_json",
 ]
 
 
@@ -119,9 +117,11 @@ def evaluate(model: Model, dataset: Dataset, policy: HumanPolicy) -> Metrics:
 
 
 def _bin_index(values: np.ndarray, n_bins: int) -> np.ndarray:
-    # Equal-width bins on [0, 1], last bin right-closed.
-    idx = np.floor(np.asarray(values) * n_bins).astype(np.int64)
-    return np.clip(idx, 0, n_bins - 1)
+    # Equal-width bins on [0, 1], last bin right-closed. The cast truncates
+    # toward zero, which differs from floor only below 0, where the clip
+    # sends both to bin 0.
+    idx = np.multiply(values, n_bins).astype(np.int64)
+    return np.clip(idx, 0, n_bins - 1, out=idx)
 
 
 def curves_from_probs(prob1, labels, policy: HumanPolicy, n_bins: int = 20) -> BehaviorCurves:
@@ -131,19 +131,18 @@ def curves_from_probs(prob1, labels, policy: HumanPolicy, n_bins: int = 20) -> B
     p1 = np.asarray(prob1, dtype=np.float64)
     y = np.asarray(labels)
     n = p1.shape[0]
-    conf = confidences(p1)
-    correct = (predicted_labels(p1) == y).astype(np.float64)
-    h_true = true_label_probs(p1, y)
-    psi = expected_utilities(p1, y, policy)
-
-    conf_bin = _bin_index(conf, n_bins)
-    true_bin = _bin_index(h_true, n_bins)
-
+    # one full-size bin index at a time, and none while the utility kernel's
+    # temporaries are live
+    correct = predicted_labels(p1) == y
+    conf_bin = _bin_index(confidences(p1), n_bins)
     hist = np.bincount(conf_bin, minlength=n_bins).astype(np.int64)
     correct_by_conf = np.bincount(conf_bin, weights=correct, minlength=n_bins)
+    del conf_bin
     with np.errstate(invalid="ignore"):
         reliability = np.where(hist > 0, correct_by_conf / np.maximum(hist, 1), np.nan)
 
+    psi = expected_utilities(p1, y, policy)
+    true_bin = _bin_index(true_label_probs(p1, y), n_bins)
     accuracy_density = np.bincount(true_bin, weights=correct, minlength=n_bins) / n
     utility_density = np.bincount(true_bin, weights=psi, minlength=n_bins) / n
 
@@ -170,20 +169,27 @@ def report(
     prob1 = _model_outputs(model, dataset)
     y = dataset.labels
     n = dataset.n_examples
-    correct = (predicted_labels(prob1) == y).astype(np.float64)
+    correct = predicted_labels(prob1) == y
     psi = expected_utilities(prob1, y, policy)
     accepted = utilities(prob1, y, policy)[0] > 0.0
+    accuracy = float(np.mean(correct))
+    expected_utility = float(np.mean(psi))
+    accept_fraction = float(np.mean(accepted))
+    accept_accuracy_mass = np.count_nonzero(correct & accepted) / n
+    accept_utility_mass = float(np.sum(psi[accepted])) / n
+    # freed before the curves allocate their own full-size temporaries
+    del correct, psi, accepted
     metrics = Metrics(
-        accuracy=float(np.mean(correct)),
-        expected_utility=float(np.mean(psi)),
+        accuracy=accuracy,
+        expected_utility=expected_utility,
         empirical_utility=float(np.mean(empirical_utilities(prob1, y, policy))),
     )
     return ModelReport(
         metrics=metrics,
         curves=curves_from_probs(prob1, y, policy, n_bins),
-        accept_fraction=float(np.mean(accepted)),
-        accept_accuracy_mass=float(np.sum(correct[accepted])) / n,
-        accept_utility_mass=float(np.sum(psi[accepted])) / n,
+        accept_fraction=accept_fraction,
+        accept_accuracy_mass=accept_accuracy_mass,
+        accept_utility_mass=accept_utility_mass,
     )
 
 
@@ -223,9 +229,3 @@ def curves_to_csv(curves: BehaviorCurves, path) -> None:
                     repr(float(curves.utility_density[i])),
                 ]
             )
-
-
-def metrics_to_json(metrics: Metrics, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

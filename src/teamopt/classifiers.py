@@ -39,12 +39,19 @@ LOGIT_CLAMP = 500.0
 # Hidden-layer widths of each model kind; the linear model has none.
 HIDDEN = {"linear": (), "mlp": (50, 10)}
 
-# Rows per block of a large forward pass. Blocks start at multiples of it
-# and the last one takes the remainder, so no block is a short ragged tail and
-# a BLAS kernel's row tail falls on the same rows as in one full-batch call:
-# with a single-threaded OpenBLAS the blocks give the full batch's bits, while
-# 1- or 7-row blocks take other kernels and differ in the last digits.
-BLOCK_ROWS = 8192
+# Rows per block of a large forward pass. Each hidden layer of a block is
+# written into one buffer reused by every block, and at 1,024 rows the MLP's
+# buffers (the last block's at most 2,047 rows by 60 units, under 1 MB) stay
+# in a core's 2 MB L2 cache between layers: one 400k-row MLP forward under one
+# BLAS thread took 0.125 s with fresh arrays per block of 8,192 rows, 0.086 s
+# with reused buffers at 8,192 rows, 0.070 s at 2,048 and 4,096, 0.067 s at
+# 1,024 and 0.074 s at 512 (medians of 5, Xeon with 2 MB of L2 per core,
+# OpenBLAS 0.3.31). Blocks start at multiples of it and the last
+# one takes the remainder, so no block is a short ragged tail and a BLAS
+# kernel's row tail falls on the same rows as in one full-batch call: with a
+# single-threaded OpenBLAS the blocks give the full batch's bits, while 1- or
+# 7-row blocks take other kernels and differ in the last digits.
+BLOCK_ROWS = 1024
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -65,8 +72,16 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 def clamped_sigmoid(z: np.ndarray) -> np.ndarray:
     """The positive-class probability of logits z: the sigmoid of z clamped
     to +-LOGIT_CLAMP, with np.clip's bits for finite z."""
-    # two ufunc calls, without np.clip's Python-level dispatch
-    return sigmoid(np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP))
+    # sigmoid's e = exp(-|z|) with the clamp folded in: -|clip(z)| is
+    # max(-|z|, -LOGIT_CLAMP), and clip(z) >= 0 exactly where z >= 0
+    z = np.asarray(z, dtype=np.float64)
+    e = np.copysign(z, -1.0)
+    np.maximum(e, -LOGIT_CLAMP, out=e)
+    np.exp(e, out=e)
+    p = np.maximum(z >= 0.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 # Where each array sits in a flat buffer: (name, slice, shape), in order, with
@@ -155,12 +170,13 @@ class ForwardCache:
     """Intermediate activations of one batched forward pass.
 
     ``hidden`` holds each hidden layer's (pre-activation, activation) pair,
-    kept only for a batch of fewer than ``2 * BLOCK_ROWS`` rows, which covers
-    training mini-batches. A larger batch is scored in blocks and keeps none
-    (``hidden`` is None), so scoring a whole dataset never holds the
-    activations of all its rows; given such a cache, ``backward_batch``
-    recomputes them from ``features`` in one pass. ``depth`` is the number of
-    layers of the model that made the cache.
+    kept only for a batch of fewer than ``2 * BLOCK_ROWS`` rows (2,048),
+    which covers training mini-batches. A larger batch is scored in blocks
+    through buffers that each block overwrites, and keeps none (``hidden`` is
+    None), so scoring a whole dataset never holds the activations of all its
+    rows; given such a cache, ``backward_batch`` recomputes them from
+    ``features`` in one pass, as a training step on a batch that large does.
+    ``depth`` is the number of layers of the model that made the cache.
     """
 
     features: np.ndarray
@@ -224,23 +240,47 @@ def _layers(model: Model, X: np.ndarray):
     return h @ w + b[0], hidden
 
 
+def _block_logits(model: Model, X: np.ndarray, buffers: list[np.ndarray], z: np.ndarray) -> None:
+    """Write the logits for the rows of X into z, with ``_layers``' bits.
+
+    Each hidden layer's activation overwrites the first len(X) rows of its
+    buffer in ``buffers``, in place of the fresh arrays ``_layers`` keeps.
+    """
+    h = X
+    for (w, b), buffer in zip(model.layers[:-1], buffers):
+        a = buffer[: len(X)]
+        np.matmul(h, w.T, out=a)
+        a += b
+        h = np.maximum(a, 0.0, out=a)
+    w, b = model.layers[-1]
+    np.matmul(h, w, out=z)
+    z += b[0]
+
+
 def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
     """Positive-class probabilities for a batch, plus the activation cache.
 
     A batch of ``2 * BLOCK_ROWS`` rows or more is computed in blocks of
-    ``BLOCK_ROWS`` rows and keeps no hidden activations (see ForwardCache).
+    ``BLOCK_ROWS`` rows, the last taking the remainder. Every block writes
+    its hidden layers into the same buffers, one per layer, and its logits
+    and probabilities into the outputs, so the pass holds its outputs and
+    one block's activations; the cache keeps no hidden activations (see
+    ForwardCache).
     """
     X = _check_batch(model, features)
     n_blocks = len(X) // BLOCK_ROWS
     if n_blocks < 2:
         z, hidden = _layers(model, X)
+        prob1 = clamped_sigmoid(z)
     else:
-        z, hidden = np.empty(len(X)), None
+        z, prob1, hidden = np.empty(len(X)), np.empty(len(X)), None
         # blocks start at multiples of BLOCK_ROWS; the remainder joins the last one
         edges = [k * BLOCK_ROWS for k in range(n_blocks)] + [len(X)]
+        # sized for the last block, the largest
+        buffers = [np.empty((len(X) - edges[-2], b.size)) for _, b in model.layers[:-1]]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            z[lo:hi] = _layers(model, X[lo:hi])[0]
-    prob1 = clamped_sigmoid(z)
+            _block_logits(model, X[lo:hi], buffers, z[lo:hi])
+            prob1[lo:hi] = clamped_sigmoid(z[lo:hi])
     return prob1, ForwardCache(X, z, prob1, hidden, len(model.layers))
 
 

@@ -271,7 +271,7 @@ def cmd_eval(resolved: dict) -> int:
     out_dir = Path(resolved["out"])
     _write_json(out_dir / "config.resolved.json", resolved)
     metrics = analysis.evaluate(model, dataset, policy)
-    analysis.metrics_to_json(metrics, out_dir / "metrics.json")
+    _write_json(out_dir / "metrics.json", metrics.to_dict())
     curves = analysis.behavior_curves(model, dataset, policy, n_bins=resolved["bins"])
     analysis.curves_to_csv(curves, out_dir / "curves.csv")
     print(json.dumps(metrics.to_dict(), sort_keys=True))
@@ -343,8 +343,8 @@ def cmd_analyze(resolved: dict) -> int:
     baseline = analysis.report(baseline_model, dataset, policy, n_bins=resolved["bins"])
     team = analysis.report(team_model, dataset, policy, n_bins=resolved["bins"])
     diff = analysis.compare_reports(baseline, team)
-    analysis.metrics_to_json(baseline.metrics, out_dir / "baseline_metrics.json")
-    analysis.metrics_to_json(team.metrics, out_dir / "team_metrics.json")
+    _write_json(out_dir / "baseline_metrics.json", baseline.metrics.to_dict())
+    _write_json(out_dir / "team_metrics.json", team.metrics.to_dict())
     analysis.curves_to_csv(baseline.curves, out_dir / "baseline_curves.csv")
     analysis.curves_to_csv(team.curves, out_dir / "team_curves.csv")
     # the accept-region and metric deltas; the per-bin curves go to no file

@@ -1,9 +1,11 @@
 """Shared test utilities: random models, single-example forward and backward
 passes, the one-example team-utility reference, the finite-difference
-gradient oracle, the unblocked forward, per-array backward and Adam oracles,
-the dense exhaustive-search scorer, the bisection-only count pass, the
-row-by-row CSV writer, digests of the outputs that BLAS threading could
-change, and hypothesis strategies for policies and model outputs."""
+gradient oracle, the two-step clamped sigmoid, the unblocked forward,
+per-array backward and Adam oracles, the report and curves written with a
+full-size array per quantity, the dense exhaustive-search scorer, the
+bisection-only count pass, the row-by-row CSV writer, digests of the outputs
+that BLAS threading could change, and hypothesis strategies for policies and
+model outputs."""
 
 import csv
 import hashlib
@@ -13,6 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from teamopt import cli, data
+from teamopt.analysis import BehaviorCurves, Metrics, ModelReport
 from teamopt.classifiers import (
     LOGIT_CLAMP,
     ForwardCache,
@@ -25,7 +28,16 @@ from teamopt.classifiers import (
 from teamopt.exhaustive import _CountPass
 from teamopt.losses import batch_loss
 from teamopt.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from teamopt.team_model import HumanPolicy, UtilityParams, utilities
+from teamopt.team_model import (
+    HumanPolicy,
+    UtilityParams,
+    confidences,
+    empirical_utilities,
+    expected_utilities,
+    predicted_labels,
+    true_label_probs,
+    utilities,
+)
 
 
 def random_model(kind, n_features, seed, scale=0.8):
@@ -123,6 +135,12 @@ def max_relative_error(analytic, numeric, floor=1e-6):
     return worst
 
 
+def two_step_clamped_sigmoid(z):
+    """classifiers.clamped_sigmoid as a clamp and then the sigmoid; the
+    reference the folded form is tested against."""
+    return sigmoid(np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP))
+
+
 def unblocked_forward(model, features):
     """forward_batch as one pass over every row that keeps every hidden
     activation; the reference the blocked pass is tested against."""
@@ -180,6 +198,59 @@ def per_array_backward(model, cache, d_prob1):
         "w3": h2.T @ dz,
         "b3": np.array([dz.sum()]),
     }
+
+
+def reference_bin_index(values, n_bins):
+    """analysis._bin_index through floor; the reference the truncating cast
+    is tested against."""
+    idx = np.floor(np.asarray(values) * n_bins).astype(np.int64)
+    return np.clip(idx, 0, n_bins - 1)
+
+
+def reference_curves(prob1, labels, policy, n_bins=20):
+    """analysis.curves_from_probs with every per-example quantity a float
+    array held to the end; the reference the leaner pass is tested against."""
+    p1 = np.asarray(prob1, dtype=np.float64)
+    y = np.asarray(labels)
+    n = p1.shape[0]
+    conf = confidences(p1)
+    correct = (predicted_labels(p1) == y).astype(np.float64)
+    h_true = true_label_probs(p1, y)
+    psi = expected_utilities(p1, y, policy)
+    conf_bin = reference_bin_index(conf, n_bins)
+    true_bin = reference_bin_index(h_true, n_bins)
+    hist = np.bincount(conf_bin, minlength=n_bins).astype(np.int64)
+    correct_by_conf = np.bincount(conf_bin, weights=correct, minlength=n_bins)
+    with np.errstate(invalid="ignore"):
+        reliability = np.where(hist > 0, correct_by_conf / np.maximum(hist, 1), np.nan)
+    return BehaviorCurves(
+        bin_edges=np.linspace(0.0, 1.0, n_bins + 1),
+        reliability=reliability,
+        confidence_hist=hist,
+        accuracy_density=np.bincount(true_bin, weights=correct, minlength=n_bins) / n,
+        utility_density=np.bincount(true_bin, weights=psi, minlength=n_bins) / n,
+    )
+
+
+def reference_report(prob1, labels, policy, n_bins=20):
+    """analysis.report of a model whose outputs are prob1, with the correct
+    flags as floats and every array held until the report is built."""
+    y = np.asarray(labels)
+    n = len(y)
+    correct = (predicted_labels(prob1) == y).astype(np.float64)
+    psi = expected_utilities(prob1, y, policy)
+    accepted = utilities(prob1, y, policy)[0] > 0.0
+    return ModelReport(
+        metrics=Metrics(
+            accuracy=float(np.mean(correct)),
+            expected_utility=float(np.mean(psi)),
+            empirical_utility=float(np.mean(empirical_utilities(prob1, y, policy))),
+        ),
+        curves=reference_curves(prob1, y, policy, n_bins),
+        accept_fraction=float(np.mean(accepted)),
+        accept_accuracy_mass=float(np.sum(correct[accepted])) / n,
+        accept_utility_mass=float(np.sum(psi[accepted])) / n,
+    )
 
 
 def pass_digest(kind, n, seed=0):

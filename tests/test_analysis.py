@@ -1,21 +1,29 @@
 """Metrics, behavior curves, bookkeeping identities, and report comparison."""
 
 import csv
-import json
+import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import outputs, policies, random_model
+from helpers import (
+    outputs,
+    policies,
+    random_model,
+    reference_bin_index,
+    reference_curves,
+    reference_report,
+)
+from teamopt import analysis
 from teamopt.analysis import (
     behavior_curves,
     compare_reports,
     curves_from_probs,
     curves_to_csv,
     evaluate,
-    metrics_to_json,
     report,
 )
 from teamopt.classifiers import Model, init_model
@@ -222,6 +230,64 @@ class TestCompareReports:
         assert rep.accept_utility_mass == pytest.approx(manual_utility, abs=1e-9)
 
 
+def assert_same_bits(got, want):
+    """Every field of two reports or curves holds the same bytes, recursing
+    into nested dataclasses."""
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if dataclasses.is_dataclass(w):
+            assert_same_bits(g, w)
+            continue
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
+        assert g.tobytes() == w.tobytes(), field.name
+
+
+@st.composite
+def binned_outputs(draw, pol, n_bins):
+    """(prob1, labels) with probabilities in [0, 1] that include the bin
+    edges k/n_bins, 0, 0.5, 1 and the policy's threshold and its mirror."""
+    c = min(max(pol.accept_threshold, 0.0), 1.0)
+    edges = [k / n_bins for k in range(n_bins + 1)] + [0.5, c, 1.0 - c]
+    prob = st.floats(0.0, 1.0) | st.sampled_from(edges)
+    n = draw(st.integers(1, 60))
+    prob1 = draw(st.lists(prob, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(prob1), np.array(labels, dtype=np.int64)
+
+
+class TestSameBitsAsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), pol=policies(), n_bins=st.integers(2, 50))
+    def test_curves_and_report_match_every_field(self, data, pol, n_bins):
+        # policies with p < 1, c <= 0.5 and (unchecked) c > 1 included
+        p1, y = data.draw(binned_outputs(pol, n_bins))
+        assert_same_bits(curves_from_probs(p1, y, pol, n_bins), reference_curves(p1, y, pol, n_bins))
+        ds = Dataset(features=np.zeros((len(y), 1)), labels=y, feature_names=("x",))
+        # the model's outputs are the drawn probabilities
+        with mock.patch.object(analysis, "_model_outputs", return_value=p1):
+            got = report(init_model("linear", 1), ds, pol, n_bins)
+        assert_same_bits(got, reference_report(p1, y, pol, n_bins))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-1e6, 1e6)
+            | st.sampled_from([0.0, -0.0, -1e-300, -0.5, -1.0, 1.0, 1.0 + 2**-52])
+            | st.floats(allow_nan=False),
+            min_size=1, max_size=40,
+        ),
+        n_bins=st.integers(2, 50),
+    )
+    def test_bin_index_matches_floor_and_clamps(self, values, n_bins):
+        # values outside [0, 1], below 0 too, land in the first or last bin
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = analysis._bin_index(np.array(values), n_bins)
+            want = reference_bin_index(np.array(values), n_bins)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.min() >= 0 and got.max() <= n_bins - 1
+
+
 class TestWriters:
     def test_curves_csv(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -236,13 +302,3 @@ class TestWriters:
         assert len(rows) == 21
         total_v3 = sum(float(r[4]) for r in rows[1:])
         assert total_v3 == pytest.approx(curves.accuracy_density.sum(), abs=1e-12)
-
-    def test_metrics_json(self, tmp_path):
-        rng = np.random.default_rng(9)
-        model = random_model("linear", 2, seed=5)
-        metrics = evaluate(model, random_dataset(rng, n_features=2), policy())
-        path = tmp_path / "metrics.json"
-        metrics_to_json(metrics, path)
-        data = json.loads(path.read_text())
-        assert data["accuracy"] == metrics.accuracy
-        assert set(data) == {"accuracy", "expected_utility", "empirical_utility"}

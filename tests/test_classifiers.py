@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import backward, forward, per_array_backward, random_model
+from helpers import (
+    backward,
+    forward,
+    per_array_backward,
+    random_model,
+    two_step_clamped_sigmoid,
+)
 from teamopt import classifiers
 from teamopt.classifiers import (
     BLOCK_ROWS,
@@ -91,6 +97,26 @@ class TestSigmoid:
         z = np.array(self.EDGES + [499.9, -499.9, 1e308, -1e308, 0.3, -2.5])
         want = sigmoid(np.clip(z, -classifiers.LOGIT_CLAMP, classifiers.LOGIT_CLAMP))
         got = clamped_sigmoid(z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z=st.lists(
+            st.floats()
+            | st.sampled_from([
+                0.0, -0.0, np.inf, -np.inf, np.nan,
+                *(s * np.nextafter(classifiers.LOGIT_CLAMP, t)
+                  for s in (1.0, -1.0) for t in (0.0, np.inf)),
+                classifiers.LOGIT_CLAMP, -classifiers.LOGIT_CLAMP,
+            ]),
+            min_size=1, max_size=40,
+        )
+    )
+    def test_folded_clamp_matches_two_steps_bit_for_bit(self, z):
+        # the fold relies on |clip(z)| = min(|z|, C) and clip(z) >= 0 <=> z >= 0
+        z = np.array(z)
+        with np.errstate(invalid="ignore"):
+            got, want = clamped_sigmoid(z), two_step_clamped_sigmoid(z)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_zero_dimensional_input(self):
@@ -249,10 +275,14 @@ class TestBlockedInference:
         X = np.zeros((3 * BLOCK_ROWS + 1, 2))
         X[-1, 1] = bad
         blocks = []
-        monkeypatch.setattr(classifiers, "_layers", lambda *args: blocks.append(args))
+        monkeypatch.setattr(classifiers, "_block_logits", lambda *args: blocks.append(args))
         with pytest.raises(ValueError, match="features must be finite"):
             forward_batch(model, X)
         assert blocks == []
+        # the patched helper is the one the blocked pass calls
+        X[-1, 1] = 0.0
+        forward_batch(model, X)
+        assert len(blocks) == 3
 
     def test_peak_memory_below_one_activation_array(self):
         # a whole-dataset cache would hold a1, h1, a2 and h2 of every row
@@ -266,6 +296,22 @@ class TestBlockedInference:
         finally:
             tracemalloc.stop()
         assert peak < n * HIDDEN["mlp"][0] * 8
+
+    def test_peak_memory_is_the_outputs_and_one_block(self):
+        # z and prob1 of every row, and besides them only the hidden-layer
+        # buffers that every block reuses and one block's sigmoid
+        # temporaries; with 1,024-row blocks those stay under 1 MiB for any
+        # n, while one full-size temporary takes 1.6 MB here
+        n = 200_000
+        model = random_model("mlp", 2, seed=0)
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            forward_batch(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * 8 + 2**20
 
 
 class TestBackward:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamopt import cli
+from teamopt.analysis import Metrics
 from teamopt.classifiers import init_model, save_model
 from teamopt.cli import main
 
@@ -300,10 +301,19 @@ class TestConfigMerging:
         assert _resolve_train({}, written) == resolved
 
     def test_json_files_are_indented_with_sorted_keys(self, tmp_path):
-        value = {"seeds": 2, "a": [1.0, 0.5], "nested": {"z": None, "b": "x"}}
-        path = tmp_path / "new_dir" / "report.json"
-        cli._write_json(path, value)
-        assert path.read_text() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        # a report and the metrics that eval and analyze write
+        metrics = Metrics(accuracy=0.875, expected_utility=-0.1, empirical_utility=1 / 3)
+        for name, value in [
+            ("report.json", {"seeds": 2, "a": [1.0, 0.5], "nested": {"z": None, "b": "x"}}),
+            ("metrics.json", metrics.to_dict()),
+        ]:
+            path = tmp_path / "new_dir" / name
+            cli._write_json(path, value)
+            assert path.read_text() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+            assert json.loads(path.read_text()) == value
+        assert list(json.loads(path.read_text())) == [
+            "accuracy", "empirical_utility", "expected_utility"
+        ]
 
     @settings(max_examples=50, deadline=None)
     @given(
