@@ -51,6 +51,7 @@ from .pipeline import (
     ExperimentReport,
     GridSpec,
     cross_validate,
+    plan,
     run_experiment,
     sweep,
 )

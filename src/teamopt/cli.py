@@ -187,10 +187,6 @@ def _load_model_for(path, dataset: data.Dataset):
     return model
 
 
-def _seeds(resolved: dict) -> list[int]:
-    return [resolved["seed"] + s for s in range(resolved["seeds"])]
-
-
 def cmd_gen_data(resolved: dict) -> int:
     if resolved["kind"] == "scenario1":
         if resolved["noise_std"] != _NOISE_STD.default:
@@ -226,27 +222,20 @@ def cmd_train(resolved: dict) -> int:
             f"{resolved['warm_start']}: warm-start model is of kind {warm_model.kind!r}, "
             f"not the --model {resolved['model']!r}"
         )
+    # the log-loss reference is the whole of a log run: a references-only plan
+    ((experiment, pairs),) = pipeline.plan(
+        dataset, resolved["model"], [policy.params], resolved["seeds"],
+        accept_probability=policy.accept_probability, baseline_config=config,
+        team_loss_kind=None if loss_kind == "log_loss" else loss_kind, seed=resolved["seed"],
+        baseline_model=warm_model, jobs=resolved["jobs"],
+    )
+    stages = {"baseline": [b for b, _ in pairs]}
     if loss_kind == "log_loss":
-        runs = pipeline.fan_out(
-            partial(
-                pipeline._run_seed,
-                dataset=dataset, model_kind=resolved["model"], config=config, policies=(policy,),
-            ),
-            _seeds(resolved),
-            resolved["jobs"],
-        )
-        report = {"per_seed": [metrics.to_dict() for _, (metrics,) in runs]}
-        stages = {"baseline": [model for model, _ in runs]}
+        report = {"per_seed": [o.baseline.to_dict() for o in experiment.per_seed]}
         summary = f"trained log-loss model on {resolved['seeds']} seeds"
     else:
-        experiment, pairs = pipeline.run_experiment(
-            dataset, resolved["model"], policy.params, n_seeds=resolved["seeds"],
-            accept_probability=resolved["accept_probability"], baseline_config=config,
-            team_loss_kind=loss_kind, seed=resolved["seed"], return_models=True,
-            baseline_model=warm_model, jobs=resolved["jobs"],
-        )
         report = experiment.to_dict()
-        stages = {"baseline": [b for b, _ in pairs], "team": [t for _, t in pairs]}
+        stages["team"] = [t for _, t in pairs]
         summary = (
             f"mean delta expected utility: {experiment.mean_delta.expected_utility:+.4f} "
             f"over {resolved['seeds']} seeds"
@@ -292,7 +281,7 @@ def cmd_exhaustive(resolved: dict) -> int:
         partial(
             pipeline.mismatch_seed, dataset=dataset2d, policy=policy, config=config, grid=grid
         ),
-        _seeds(resolved),
+        [resolved["seed"] + s for s in range(resolved["seeds"])],
         resolved["jobs"],
     )
     rows = [

@@ -8,12 +8,14 @@ the team objective (checkpointed on expected utility). Because the
 pre-training evaluation is a checkpoint candidate, the team model's
 validation expected utility can never end below its warm start.
 
-An experiment and a sweep are one plan over (points x seeds). A seed's
-reference does not depend on the utility parameters (its loss, checkpoint
-metric and splits ignore them), so it is trained once and shared by every
-point of a sweep. Seeds are independent, so ``jobs`` fans them out over
-worker processes once per plan; results are collected in seed order and
-identical to a serial run.
+``plan`` runs this over (points x seeds) for any list of utility points;
+``run_experiment`` is a plan at one point and ``sweep`` one over an
+(a x beta) product. A seed's reference does not depend on the utility
+parameters (its loss, checkpoint metric and splits ignore them), so it is
+trained once and shared by every point; with ``team_loss_kind=None`` the
+plan trains and scores the references only. Seeds are independent, so
+``jobs`` fans them out over worker processes once per plan; results are
+collected in seed order and identical to a serial run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from dataclasses import asdict, astuple, dataclass, replace
@@ -46,6 +49,7 @@ __all__ = [
     "fan_out",
     "cross_validate",
     "mismatch_seed",
+    "plan",
     "run_experiment",
     "sweep",
     "write_sweep_csv",
@@ -193,17 +197,21 @@ def cross_validate(
 
 @dataclass(frozen=True)
 class SeedOutcome:
+    """One seed at one point; the team fields are None in a references-only plan."""
+
     seed: int
     baseline: Metrics
-    team: Metrics
-    delta: Metrics
-    team_val_gain: float
+    team: Metrics | None
+    delta: Metrics | None
+    team_val_gain: float | None
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _mean_metrics(items: list[Metrics]) -> Metrics:
+def _mean_metrics(items: list[Metrics | None]) -> Metrics | None:
+    if items[0] is None:
+        return None
     # one mean per 1-d column: a 2-d mean over axis 0 sums in another order
     return Metrics(*(float(np.mean(column)) for column in zip(*map(astuple, items))))
 
@@ -216,11 +224,11 @@ class ExperimentReport:
     n_seeds: int
     baseline_config: TrainConfig
     team_config: TrainConfig
-    team_loss_kind: str
+    team_loss_kind: str | None
     per_seed: tuple[SeedOutcome, ...]
     mean_baseline: Metrics
-    mean_team: Metrics
-    mean_delta: Metrics
+    mean_team: Metrics | None
+    mean_delta: Metrics | None
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -262,16 +270,17 @@ def _run_seed(
     model_kind: str,
     config: TrainConfig,
     policies: tuple[HumanPolicy, ...],
-    team_loss_kind: str | None = None,
-    baseline_model: Model | None = None,
-) -> tuple[Model, list]:
-    """One seed of the plan: ``(reference, runs)``, one run per policy.
+    team_loss_kind: str | None,
+    baseline_model: Model | None,
+) -> tuple[Model, list[tuple[SeedOutcome, Model | None]]]:
+    """One seed of the plan: ``(reference, runs)``, one ``(SeedOutcome, team
+    model)`` run per policy.
 
     The log-loss reference is trained once (a supplied ``baseline_model``
-    replaces it) and scored on the test split under every policy. Without a
-    ``team_loss_kind`` each run is that score; with one, each run is
-    ``(SeedOutcome, team model)`` of a team training warm-started from the
-    reference under that policy.
+    replaces it) and scored on the test split under every policy. With a
+    ``team_loss_kind``, each run's team training warm-starts from the
+    reference under that policy; without one, a run is the reference's score
+    alone, with no team fields or model.
     """
     _, fit, val, test, baseline_seed, team_seed = seed_splits(dataset, seed)
     reference = baseline_model
@@ -279,7 +288,7 @@ def _run_seed(
         reference = _train_reference(fit, val, model_kind, config, baseline_seed)
     baselines = [evaluate(reference, test, policy) for policy in policies]
     if team_loss_kind is None:
-        return reference, baselines
+        return reference, [(SeedOutcome(seed, b, None, None, None), None) for b in baselines]
     team_config = replace(config, checkpoint_metric="expected_utility", seed=team_seed)
     runs = []
     for policy, baseline in zip(policies, baselines):
@@ -292,21 +301,33 @@ def _run_seed(
     return reference, runs
 
 
-def _plan(
+def plan(
     dataset: Dataset,
     model_kind: str,
-    points: list[UtilityParams],
-    n_seeds: int,
-    accept_probability: float,
-    baseline_config: TrainConfig | None,
-    grid: GridSpec | None,
-    team_loss_kind: str,
-    seed: int,
-    baseline_model: Model | None,
-    jobs: int,
-) -> list[tuple[ExperimentReport, list[tuple[Model, Model]]]]:
-    """Every point's report and per-seed (reference, team) models, from one
-    cross-validation (if a grid is given) and one fan-out over the seeds."""
+    points: Sequence[UtilityParams],
+    n_seeds: int = 10,
+    *,
+    accept_probability: float = 1.0,
+    baseline_config: TrainConfig | None = None,
+    grid: GridSpec | None = None,
+    team_loss_kind: str | None = "expected_utility_loss",
+    seed: int = 0,
+    baseline_model: Model | None = None,
+    jobs: int = 1,
+) -> list[tuple[ExperimentReport, list[tuple[Model, Model | None]]]]:
+    """Multi-seed comparison of the log-loss reference vs team training at
+    every point: per point, its report and per-seed (reference, team) models.
+
+    Both trainings use ``baseline_config``; the team run switches the
+    checkpoint metric only. When a grid is given, hyperparameters are
+    cross-validated once on the first seed's training portion, under
+    log-loss with accuracy checkpoints (the reference's objective), and
+    replace ``baseline_config``. A supplied ``baseline_model`` is used as the
+    warm start on every seed instead of training the reference. With
+    ``team_loss_kind=None`` no team model is trained: every team metric and
+    model is None. ``jobs`` > 1 fans the seeds out over worker processes;
+    results are identical to a serial run.
+    """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if baseline_model is not None and baseline_model.kind != model_kind:
@@ -314,6 +335,8 @@ def _plan(
             f"baseline model of kind {baseline_model.kind!r} does not match "
             f"model_kind {model_kind!r}"
         )
+    if not points:
+        return []
     policies = tuple(HumanPolicy(params, accept_probability) for params in points)
     # the report carries the configs exactly as trained
     config = replace(baseline_config or TrainConfig(), checkpoint_metric="accuracy")
@@ -361,29 +384,15 @@ def run_experiment(
     grid: GridSpec | None = None,
     team_loss_kind: str = "expected_utility_loss",
     seed: int = 0,
-    return_models: bool = False,
     baseline_model: Model | None = None,
     jobs: int = 1,
-):
-    """Multi-seed comparison of the log-loss reference vs team training.
-
-    Both trainings use ``baseline_config``; the team run switches the
-    checkpoint metric only. When a grid is given, hyperparameters are
-    cross-validated once on the first seed's training portion, under
-    log-loss with accuracy checkpoints (the reference's objective), and
-    replace ``baseline_config``.
-    With ``return_models`` the per-seed (baseline, team) model pairs come
-    back alongside the report. A supplied ``baseline_model`` is used as the
-    warm start on every seed instead of training the reference. ``jobs`` > 1
-    fans the seeds out over worker processes; results are identical to a
-    serial run.
-    """
-    ((report, models),) = _plan(
-        dataset, model_kind, [params], n_seeds, accept_probability, baseline_config,
-        grid, team_loss_kind, seed, baseline_model, jobs,
+) -> ExperimentReport:
+    """``plan`` at the one point ``params``: its report."""
+    ((report, _),) = plan(
+        dataset, model_kind, [params], n_seeds, accept_probability=accept_probability,
+        baseline_config=baseline_config, grid=grid, team_loss_kind=team_loss_kind,
+        seed=seed, baseline_model=baseline_model, jobs=jobs,
     )
-    if return_models:
-        return report, models
     return report
 
 
@@ -408,22 +417,17 @@ def sweep(
     seed: int = 0,
     jobs: int = 1,
 ) -> list[SweepPoint]:
-    """The experiment over the (human accuracy) x (penalty) product grid, as
-    one plan: each point equals ``run_experiment`` at its parameters, while
-    each seed's reference is trained once and shared by every point."""
+    """``plan`` over the (human accuracy) x (penalty) product grid: each point
+    equals ``run_experiment`` at its parameters."""
     # every point's parameters are checked before the first one trains
     points = [
         UtilityParams(beta=beta, lam=lam, human_accuracy=a)
         for a in a_values
         for beta in beta_values
     ]
-    if not points:
-        return []
-    # run_experiment's defaults: full compliance, no grid, no supplied reference
-    planned = _plan(
-        dataset, model_kind, points, n_seeds, accept_probability=1.0,
-        baseline_config=baseline_config, grid=None, team_loss_kind="expected_utility_loss",
-        seed=seed, baseline_model=None, jobs=jobs,
+    planned = plan(
+        dataset, model_kind, points, n_seeds,
+        baseline_config=baseline_config, seed=seed, jobs=jobs,
     )
     return [
         SweepPoint(

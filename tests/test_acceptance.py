@@ -24,7 +24,7 @@ from teamopt.exhaustive import (
 )
 from teamopt.losses import LossSpec, batch_loss
 from teamopt.optim import TrainConfig, train
-from teamopt.pipeline import run_experiment, seed_splits, sweep
+from teamopt.pipeline import plan, run_experiment, seed_splits
 from teamopt.team_model import HumanPolicy, UtilityParams, expected_utilities
 
 N_SEEDS = 10
@@ -53,10 +53,16 @@ def moons_10k():
 
 @pytest.fixture(scope="module")
 def scenario_rq1(scenario_10k):
-    return run_experiment(
-        scenario_10k, "linear", STANDARD_PARAMS, n_seeds=N_SEEDS,
-        baseline_config=DESK_CONFIG, seed=0,
+    """Reports by (a, beta): RQ1's (1, 1) and the sensitivity points, as one
+    plan whose 10 references every point shares."""
+    points = [
+        UtilityParams(beta=beta, lam=0.5, human_accuracy=a)
+        for a, beta in ((1.0, 1.0), (0.8, 1.0), (0.9, 1.0), (1.0, 5.0))
+    ]
+    planned = plan(
+        scenario_10k, "linear", points, n_seeds=N_SEEDS, baseline_config=DESK_CONFIG, seed=0
     )
+    return {(r.params.human_accuracy, r.params.beta): r for r, _ in planned}
 
 
 def test_criterion_1_threshold_formula():
@@ -129,18 +135,19 @@ def test_criterion_4_flat_region(scenario_10k):
 
 
 def test_criterion_5_rq1_desk_scale(scenario_rq1, moons_10k):
+    scenario_report = scenario_rq1[1.0, 1.0]
     moons_report = run_experiment(
         moons_10k, "linear", STANDARD_PARAMS, n_seeds=N_SEEDS,
         baseline_config=DESK_CONFIG, seed=0,
     )
-    for report in (scenario_rq1, moons_report):
+    for report in (scenario_report, moons_report):
         assert report.mean_delta.expected_utility >= 0.02
         for outcome in report.per_seed:
             assert outcome.team_val_gain >= 0.0
     note(
         5,
         "mean delta EU "
-        f"{scenario_rq1.mean_delta.expected_utility:+.3f} (scenario1) and "
+        f"{scenario_report.mean_delta.expected_utility:+.3f} (scenario1) and "
         f"{moons_report.mean_delta.expected_utility:+.3f} (moons), "
         "validation EU never below the warm start",
     )
@@ -184,27 +191,20 @@ def test_criterion_6_exhaustive_search(scenario_10k, tmp_path):
     )
 
 
-def test_criterion_7_sensitivity_trends(scenario_10k, scenario_rq1):
-    delta_a_10 = scenario_rq1.mean_delta.expected_utility
-    points = sweep(
-        scenario_10k, "linear", a_values=[0.8, 0.9], beta_values=[1.0], lam=0.5,
-        n_seeds=N_SEEDS, baseline_config=DESK_CONFIG, seed=0,
-    )
-    delta_by_a = {p.human_accuracy: p.delta_eu for p in points}
+def test_criterion_7_sensitivity_trends(scenario_rq1):
+    delta_a_10 = scenario_rq1[1.0, 1.0].mean_delta.expected_utility
+    delta_by_a = {a: scenario_rq1[a, 1.0].mean_delta.expected_utility for a in (0.8, 0.9)}
     delta_by_a[1.0] = delta_a_10
     assert delta_by_a[0.9] <= delta_by_a[0.8] + 0.01
     assert delta_by_a[1.0] <= delta_by_a[0.9] + 0.01
 
-    (beta5,) = sweep(
-        scenario_10k, "linear", a_values=[1.0], beta_values=[5.0], lam=0.5,
-        n_seeds=N_SEEDS, baseline_config=DESK_CONFIG, seed=0,
-    )
-    assert beta5.delta_eu <= delta_a_10 + 0.01
+    beta5 = scenario_rq1[1.0, 5.0].mean_delta.expected_utility
+    assert beta5 <= delta_a_10 + 0.01
     note(
         7,
         "delta EU non-increasing in human accuracy "
         f"({delta_by_a[0.8]:+.3f}, {delta_by_a[0.9]:+.3f}, {delta_by_a[1.0]:+.3f}) "
-        f"and delta EU(beta=5) {beta5.delta_eu:+.3f} <= delta EU(beta=1)",
+        f"and delta EU(beta=5) {beta5:+.3f} <= delta EU(beta=1)",
     )
 
 

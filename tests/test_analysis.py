@@ -30,7 +30,7 @@ from teamopt.classifiers import Model, init_model
 from teamopt.data import Dataset, gen_scenario1
 from teamopt.losses import LossSpec, batch_loss
 from teamopt.optim import TrainConfig
-from teamopt.pipeline import run_experiment, seed_splits
+from teamopt.pipeline import plan, seed_splits
 from teamopt.team_model import (
     HumanPolicy,
     UtilityParams,
@@ -196,9 +196,8 @@ class TestCompareReports:
         config = TrainConfig(
             learning_rate=0.1, l2_weight=1e-3, batch_size=32, max_epochs=60
         )
-        _, [(baseline, team)] = run_experiment(
-            ds, "linear", pol.params, n_seeds=1, baseline_config=config, seed=0,
-            return_models=True,
+        ((_, [(baseline, team)]),) = plan(
+            ds, "linear", [pol.params], n_seeds=1, baseline_config=config, seed=0
         )
         test = seed_splits(ds, 0)[3]
         rb = report(baseline, test, pol)

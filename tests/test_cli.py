@@ -121,6 +121,19 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert len(report["per_seed"]) == 1
 
+    def test_log_and_eu_runs_share_their_references(self, moons_csv, tmp_path):
+        # a log run is the eu run's reference stage alone
+        outs = {}
+        for loss in ("log", "eu"):
+            outs[loss] = tmp_path / loss
+            argv = ["train", "--data", str(moons_csv), "--loss", loss, "--seeds", "2"]
+            assert run(argv + ["--epochs", "5", "--out", str(outs[loss])]) == 0
+        log, eu = (json.loads((outs[k] / "report.json").read_text()) for k in ("log", "eu"))
+        for s in range(2):
+            name = f"models/baseline_seed{s}.json"
+            assert (outs["log"] / name).read_bytes() == (outs["eu"] / name).read_bytes()
+            assert log["per_seed"][s] == eu["per_seed"][s]["baseline"]
+
     def test_rerun_is_byte_identical(self, moons_csv, tmp_path):
         args = [
             "train", "--data", str(moons_csv), "--loss", "eu", "--beta", "1",

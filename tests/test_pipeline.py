@@ -13,6 +13,7 @@ from teamopt.pipeline import (
     GridSpec,
     cross_validate,
     derive_seeds,
+    plan,
     run_experiment,
     seed_splits,
     sweep,
@@ -136,9 +137,8 @@ class TestTeamStage:
     def test_warm_start_equals_baseline_at_epoch_zero(self, trainings):
         pol = policy()
         ds = gen_scenario1(1500, seed=5)
-        _, [(baseline, team)] = run_experiment(
-            ds, "linear", pol.params, n_seeds=1, baseline_config=QUICK, seed=3,
-            return_models=True,
+        ((_, [(baseline, team)]),) = plan(
+            ds, "linear", [pol.params], n_seeds=1, baseline_config=QUICK, seed=3
         )
         (_, _, baseline_result), (spec, _, team_result) = trainings
         assert baseline_result.best_model is baseline
@@ -301,6 +301,23 @@ class TestRunExperiment:
         assert len(data["per_seed"]) == 1
 
 
+class TestPlan:
+    def test_references_only_trains_the_references(self, trainings):
+        n_seeds = 2
+        ((rep, models),) = plan(
+            gen_scenario1(600, seed=17), "linear", [UtilityParams(1.0, 0.5, 0.9)], n_seeds,
+            baseline_config=TrainConfig(max_epochs=6), team_loss_kind=None, seed=0,
+        )
+        assert [spec.kind for spec, _, _ in trainings] == ["log_loss"] * n_seeds
+        assert [reference for reference, _ in models] == [r.best_model for _, _, r in trainings]
+        assert [team for _, team in models] == [None] * n_seeds
+        assert [(o.team, o.delta, o.team_val_gain) for o in rep.per_seed] == [(None,) * 3] * n_seeds
+        assert (rep.mean_team, rep.mean_delta) == (None, None)
+        assert rep.mean_baseline.expected_utility == np.mean(
+            [o.baseline.expected_utility for o in rep.per_seed]
+        )
+
+
 class TestSweep:
     def test_product_grid_and_csv(self, tmp_path):
         ds = gen_scenario1(1000, seed=13)
@@ -341,6 +358,13 @@ class TestSweep:
         assert [(p.human_accuracy, p.beta) for p in points] == [
             (0.8, 1.0), (0.8, 5.0), (0.9, 1.0), (0.9, 5.0)
         ]
+        # a point list that is no product grid plans its points the same way
+        planned = plan(
+            ds, "linear", [UtilityParams(5.0, 0.5, 0.9), UtilityParams(1.0, 0.5, 0.8)],
+            n_seeds, baseline_config=config, seed=0,
+        )
+        by_point = {(r.params.human_accuracy, r.params.beta): r for r, _ in planned}
+        assert list(by_point) == [(0.9, 5.0), (0.8, 1.0)]
         for p in points:
             rep = run_experiment(
                 ds, "linear", UtilityParams(beta=p.beta, lam=0.5, human_accuracy=p.human_accuracy),
@@ -348,6 +372,8 @@ class TestSweep:
             )
             assert p.baseline_eu == rep.mean_baseline.expected_utility
             assert p.delta_eu == rep.mean_delta.expected_utility
+            if (p.human_accuracy, p.beta) in by_point:
+                assert by_point[p.human_accuracy, p.beta].to_dict() == rep.to_dict()
 
     def test_parallel_jobs_match_serial(self):
         ds = gen_scenario1(600, seed=18)
@@ -356,15 +382,6 @@ class TestSweep:
             baseline_config=TrainConfig(max_epochs=5), seed=0,
         )
         assert sweep(ds, "linear", **args, jobs=2) == sweep(ds, "linear", **args)
-
-    def test_return_models_rejected_before_any_training(self, trainings):
-        with pytest.raises(TypeError, match="return_models"):
-            sweep(
-                gen_scenario1(200, seed=5), "linear", a_values=[0.9, 1.0],
-                beta_values=[1.0], lam=0.5, n_seeds=1,
-                baseline_config=TrainConfig(max_epochs=1), seed=0, return_models=True,
-            )
-        assert trainings == []
 
     def test_always_accept_degenerate_point(self):
         # a=0 with lam=0 puts the threshold at 0: nothing is ever solved, so
