@@ -169,7 +169,7 @@ class Model:
 class ForwardCache:
     """Intermediate activations of one batched forward pass.
 
-    ``hidden`` holds each hidden layer's (pre-activation, activation) pair,
+    ``hidden`` holds each hidden layer's activation, a (rows, width) array,
     kept only for a batch of fewer than ``2 * BLOCK_ROWS`` rows (2,048),
     which covers training mini-batches. A larger batch is scored in blocks
     through buffers that each block overwrites, and keeps none (``hidden`` is
@@ -182,7 +182,7 @@ class ForwardCache:
     features: np.ndarray
     z: np.ndarray
     prob1: np.ndarray
-    hidden: list[tuple[np.ndarray, np.ndarray]] | None
+    hidden: list[np.ndarray] | None
     depth: int
 
 
@@ -228,24 +228,15 @@ def _check_batch(model: Model, features: np.ndarray) -> np.ndarray:
     return X
 
 
-def _layers(model: Model, X: np.ndarray):
-    """The logits for the rows of X and each hidden layer's (pre-activation,
-    activation) pair."""
-    h, hidden = X, []
-    for w, b in model.layers[:-1]:
-        a = h @ w.T + b
-        h = np.maximum(a, 0.0)
-        hidden.append((a, h))
-    w, b = model.layers[-1]
-    return h @ w + b[0], hidden
-
-
-def _block_logits(model: Model, X: np.ndarray, buffers: list[np.ndarray], z: np.ndarray) -> None:
-    """Write the logits for the rows of X into z, with ``_layers``' bits.
-
-    Each hidden layer's activation overwrites the first len(X) rows of its
-    buffer in ``buffers``, in place of the fresh arrays ``_layers`` keeps.
-    """
+def _block_logits(
+    model: Model, X: np.ndarray, z: np.ndarray, buffers: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Write the logits for the rows of X into z: the only code that applies a
+    layer. Each hidden layer's matmul goes into the first len(X) rows of its
+    buffer, fresh arrays if ``buffers`` is None, and its bias and ReLU are
+    applied there in place; returns the buffers."""
+    if buffers is None:
+        buffers = [np.empty((len(X), b.size)) for _, b in model.layers[:-1]]
     h = X
     for (w, b), buffer in zip(model.layers[:-1], buffers):
         a = buffer[: len(X)]
@@ -255,31 +246,33 @@ def _block_logits(model: Model, X: np.ndarray, buffers: list[np.ndarray], z: np.
     w, b = model.layers[-1]
     np.matmul(h, w, out=z)
     z += b[0]
+    return buffers
 
 
 def forward_batch(model: Model, features) -> tuple[np.ndarray, ForwardCache]:
     """Positive-class probabilities for a batch, plus the activation cache.
 
-    A batch of ``2 * BLOCK_ROWS`` rows or more is computed in blocks of
-    ``BLOCK_ROWS`` rows, the last taking the remainder. Every block writes
-    its hidden layers into the same buffers, one per layer, and its logits
-    and probabilities into the outputs, so the pass holds its outputs and
-    one block's activations; the cache keeps no hidden activations (see
-    ForwardCache).
+    A batch of fewer than ``2 * BLOCK_ROWS`` rows is one ``_block_logits``
+    call on fresh arrays, which the cache keeps. A larger batch is computed
+    in blocks of ``BLOCK_ROWS`` rows, the last taking the remainder, which
+    all write their hidden layers into the same buffers, one per layer, and
+    their logits and probabilities into the outputs; so the pass holds its
+    outputs and one block's activations, and the cache keeps none.
     """
     X = _check_batch(model, features)
     n_blocks = len(X) // BLOCK_ROWS
+    z = np.empty(len(X))
     if n_blocks < 2:
-        z, hidden = _layers(model, X)
+        hidden = _block_logits(model, X, z)
         prob1 = clamped_sigmoid(z)
     else:
-        z, prob1, hidden = np.empty(len(X)), np.empty(len(X)), None
+        prob1, hidden = np.empty(len(X)), None
         # blocks start at multiples of BLOCK_ROWS; the remainder joins the last one
         edges = [k * BLOCK_ROWS for k in range(n_blocks)] + [len(X)]
         # sized for the last block, the largest
         buffers = [np.empty((len(X) - edges[-2], b.size)) for _, b in model.layers[:-1]]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            _block_logits(model, X[lo:hi], buffers, z[lo:hi])
+            _block_logits(model, X[lo:hi], z[lo:hi], buffers)
             prob1[lo:hi] = clamped_sigmoid(z[lo:hi])
     return prob1, ForwardCache(X, z, prob1, hidden, len(model.layers))
 
@@ -289,7 +282,10 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> Model:
     as a Model with ``model``'s layout over a fresh buffer.
 
     The cache must come from a forward pass of the same model on the same
-    batch; mismatched shapes or depths are rejected.
+    batch; mismatched shapes or depths are rejected. A cache without
+    activations has them recomputed by one ``_block_logits`` call. Each
+    ReLU's derivative is the mask h > 0 of its activation h = max(a, 0),
+    which is a > 0 bit for bit, at +-0.0 and NaN too.
     """
     g = np.asarray(d_prob1, dtype=np.float64)
     if cache.depth != len(model.layers):
@@ -303,21 +299,24 @@ def backward_batch(model: Model, cache: ForwardCache, d_prob1) -> Model:
         raise ValueError(
             f"d_prob1 shape {g.shape} does not match batch shape {cache.prob1.shape}"
         )
-    X = cache.features
+    X, hidden = cache.features, cache.hidden
+    if hidden is None:
+        hidden = _block_logits(model, X, np.empty(len(X)))
+    inputs = [X, *hidden]  # the input of each layer
     dz = g * cache.prob1 * (1.0 - cache.prob1)
     grads = object.__new__(Model)._bind(np.empty(model.flat.size), model.layout)
-    hidden = _layers(model, X)[1] if cache.hidden is None else cache.hidden
     dw, db = grads.layers[-1]
-    np.matmul((hidden[-1][1] if hidden else X).T, dz, out=dw)
+    np.matmul(inputs[-1].T, dz, out=dw)
     dz.sum(keepdims=True, out=db)
     if hidden:
-        delta = (dz[:, None] * model.layers[-1][0][None, :]) * (hidden[-1][0] > 0.0)
+        delta = dz[:, None] * model.layers[-1][0][None, :]
         for k in reversed(range(len(hidden))):
+            delta *= inputs[k + 1] > 0.0
             dw, db = grads.layers[k]
-            np.matmul(delta.T, hidden[k - 1][1] if k else X, out=dw)
+            np.matmul(delta.T, inputs[k], out=dw)
             delta.sum(axis=0, out=db)
             if k:
-                delta = (delta @ model.layers[k][0]) * (hidden[k - 1][0] > 0.0)
+                delta = delta @ model.layers[k][0]
     return grads
 
 

@@ -1,7 +1,7 @@
 """Shared test utilities: random models, single-example forward and backward
 passes, the one-example team-utility reference, the finite-difference
-gradient oracle, the two-step clamped sigmoid, the unblocked forward,
-per-array backward and Adam oracles, the report and curves written with a
+gradient oracle, the two-step clamped sigmoid, the MLP's pre-activations,
+the unblocked forward, per-array backward and Adam oracles, the report and curves written with a
 full-size array per quantity, the dense exhaustive-search scorer, the
 bisection-only count pass, the row-by-row CSV writer, digests of the outputs
 that BLAS threading could change, and hypothesis strategies for policies and
@@ -141,6 +141,14 @@ def two_step_clamped_sigmoid(z):
     return sigmoid(np.minimum(np.maximum(z, -LOGIT_CLAMP), LOGIT_CLAMP))
 
 
+def mlp_pre_activations(model, X):
+    """The MLP's two hidden pre-activations a1 and a2 for the rows of X, each
+    a fresh expression; the reference the cached activations max(a, 0) and
+    the ReLU masks a > 0 are tested against."""
+    a1 = X @ model.w1.T + model.b1
+    return a1, np.maximum(a1, 0.0) @ model.w2.T + model.b2
+
+
 def unblocked_forward(model, features):
     """forward_batch as one pass over every row that keeps every hidden
     activation; the reference the blocked pass is tested against."""
@@ -149,13 +157,10 @@ def unblocked_forward(model, features):
         z = X @ model.weights + model.bias[0]
         prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
         return prob1, ForwardCache(X, z, prob1, [], 1)
-    a1 = X @ model.w1.T + model.b1
-    h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ model.w2.T + model.b2
-    h2 = np.maximum(a2, 0.0)
+    h1, h2 = (np.maximum(a, 0.0) for a in mlp_pre_activations(model, X))
     z = h2 @ model.w3 + model.b3[0]
     prob1 = sigmoid(np.clip(z, -LOGIT_CLAMP, LOGIT_CLAMP))
-    return prob1, ForwardCache(X, z, prob1, [(a1, h1), (a2, h2)], 3)
+    return prob1, ForwardCache(X, z, prob1, [h1, h2], 3)
 
 
 def blocked_pass_mismatches(kind, n, seed=0):
@@ -182,12 +187,14 @@ def blocked_pass_mismatches(kind, n, seed=0):
 def per_array_backward(model, cache, d_prob1):
     """backward_batch's gradients as separate arrays, one expression each;
     the reference the gradients written into the flat buffer's views are
-    tested against."""
+    tested against. The hidden layers are recomputed from the cached
+    features, and each ReLU's derivative is taken on its pre-activation."""
     X = cache.features
     dz = d_prob1 * cache.prob1 * (1.0 - cache.prob1)
     if model.kind == "linear":
         return {"weights": X.T @ dz, "bias": np.array([dz.sum()])}
-    (a1, h1), (a2, h2) = cache.hidden
+    a1, a2 = mlp_pre_activations(model, X)
+    h1, h2 = np.maximum(a1, 0.0), np.maximum(a2, 0.0)
     da2 = (dz[:, None] * model.w3[None, :]) * (a2 > 0.0)
     da1 = (da2 @ model.w2) * (a1 > 0.0)
     return {

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from helpers import (
     backward,
     forward,
+    mlp_pre_activations,
     per_array_backward,
     random_model,
     two_step_clamped_sigmoid,
@@ -262,12 +263,13 @@ class TestBlockedInference:
     @pytest.mark.parametrize("n, kept", [(2 * BLOCK_ROWS - 1, True), (2 * BLOCK_ROWS, False)])
     def test_activations_kept_only_for_one_block(self, n, kept):
         model = random_model("mlp", 2, seed=0)
-        _, cache = forward_batch(model, np.zeros((n, 2)))
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        _, cache = forward_batch(model, X)
         assert (cache.hidden is not None) == kept
         if kept:
-            assert [a.shape for layer in cache.hidden for a in layer] == [
-                (n, 50), (n, 50), (n, 10), (n, 10)
-            ]
+            assert [h.shape for h in cache.hidden] == [(n, 50), (n, 10)]
+            for h, a in zip(cache.hidden, mlp_pre_activations(model, X)):
+                assert np.array_equal(h.view(np.int64), np.maximum(a, 0.0).view(np.int64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_last_row_raises_before_any_block(self, monkeypatch, bad):
@@ -285,7 +287,7 @@ class TestBlockedInference:
         assert len(blocks) == 3
 
     def test_peak_memory_below_one_activation_array(self):
-        # a whole-dataset cache would hold a1, h1, a2 and h2 of every row
+        # a whole-dataset cache would hold h1 and h2 of every row
         n = 200_000
         model = random_model("mlp", 2, seed=0)
         X = np.random.default_rng(0).normal(size=(n, 2))
@@ -312,6 +314,22 @@ class TestBlockedInference:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * 8 + 2**20
+
+    def test_recompute_peak_memory_holds_one_array_per_hidden_layer(self):
+        # backward on a blocked cache recomputes each hidden layer's
+        # activation alone; (pre-activation, activation) pairs would take
+        # 2 * n * 60 * 8 bytes before the first gradient
+        n = 20_000
+        model = random_model("mlp", 2, seed=0)
+        _, cache = forward_batch(model, np.random.default_rng(0).normal(size=(n, 2)))
+        assert cache.hidden is None
+        tracemalloc.start()
+        try:
+            backward_batch(model, cache, np.ones(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * sum(HIDDEN["mlp"]) * 8
 
 
 class TestBackward:
@@ -415,6 +433,36 @@ class TestBackward:
             assert g.shape == w.shape
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
             assert np.shares_memory(g, grads.flat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 32, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_zero_pre_activations_give_the_oracle_bits(self, rows, seed):
+        # ReLU masks on their boundary: zero rows of X, units with a bias of
+        # +0.0 or -0.0, and units whose weight row is zeroed too, give
+        # pre-activations of exactly zero, where the mask of the activation,
+        # h > 0, must agree with the oracle's a > 0
+        model = random_model("mlp", 2, seed=seed)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, 2))
+        X[rng.random(rows) < 0.3] = 0.0
+        for w, b in model.layers[:-1]:
+            units = rng.permutation(b.size)[: b.size // 5 * 2]
+            zero = rng.choice([0.0, -0.0], size=units.size)
+            b[units] = zero
+            w[units[::2]] = zero[::2, None]
+        d_prob1 = rng.normal(size=rows) * (rng.random(rows) < 0.7)
+        assert all((a == 0.0).any() for a in mlp_pre_activations(model, X))
+        _, cache = forward_batch(model, X)
+        grads = backward_batch(model, cache, d_prob1)
+        for name, want in per_array_backward(model, cache, d_prob1).items():
+            assert np.array_equal(getattr(grads, name).view(np.int64), want.view(np.int64)), name
+
+    def test_mask_of_the_activation_is_the_mask_of_the_pre_activation(self):
+        a = np.array([-0.0, 0.0, np.nan, -np.nan, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0])
+        assert np.array_equal(np.maximum(a, 0.0) > 0.0, a > 0.0)
 
 
 class TestMonotonicity:
