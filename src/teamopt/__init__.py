@@ -53,7 +53,6 @@ from .pipeline import (
     cross_validate,
     plan,
     run_experiment,
-    sweep,
 )
 from .team_model import HumanPolicy, UtilityParams
 

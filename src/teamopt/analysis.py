@@ -105,15 +105,17 @@ def _model_outputs(model: Model, dataset: Dataset) -> np.ndarray:
     return prob1
 
 
+def _metrics(prob1: np.ndarray, labels: np.ndarray, policy: HumanPolicy) -> Metrics:
+    return Metrics(
+        accuracy=float(np.mean(predicted_labels(prob1) == labels)),
+        expected_utility=float(np.mean(expected_utilities(prob1, labels, policy))),
+        empirical_utility=float(np.mean(empirical_utilities(prob1, labels, policy))),
+    )
+
+
 def evaluate(model: Model, dataset: Dataset, policy: HumanPolicy) -> Metrics:
     """Accuracy, mean expected utility, and mean empirical utility."""
-    prob1 = _model_outputs(model, dataset)
-    y = dataset.labels
-    return Metrics(
-        accuracy=float(np.mean(predicted_labels(prob1) == y)),
-        expected_utility=float(np.mean(expected_utilities(prob1, y, policy))),
-        empirical_utility=float(np.mean(empirical_utilities(prob1, y, policy))),
-    )
+    return _metrics(_model_outputs(model, dataset), dataset.labels, policy)
 
 
 def _bin_index(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -169,21 +171,15 @@ def report(
     prob1 = _model_outputs(model, dataset)
     y = dataset.labels
     n = dataset.n_examples
+    metrics = _metrics(prob1, y, policy)
+    p_accept, psi = utilities(prob1, y, policy)
+    accepted = p_accept > 0.0
     correct = predicted_labels(prob1) == y
-    psi = expected_utilities(prob1, y, policy)
-    accepted = utilities(prob1, y, policy)[0] > 0.0
-    accuracy = float(np.mean(correct))
-    expected_utility = float(np.mean(psi))
     accept_fraction = float(np.mean(accepted))
     accept_accuracy_mass = np.count_nonzero(correct & accepted) / n
     accept_utility_mass = float(np.sum(psi[accepted])) / n
     # freed before the curves allocate their own full-size temporaries
-    del correct, psi, accepted
-    metrics = Metrics(
-        accuracy=accuracy,
-        expected_utility=expected_utility,
-        empirical_utility=float(np.mean(empirical_utilities(prob1, y, policy))),
-    )
+    del p_accept, psi, accepted, correct
     return ModelReport(
         metrics=metrics,
         curves=curves_from_probs(prob1, y, policy, n_bins),

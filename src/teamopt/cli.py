@@ -304,18 +304,21 @@ def cmd_exhaustive(resolved: dict) -> int:
 
 def cmd_sweep(resolved: dict) -> int:
     dataset = data.load_csv(resolved["data"], label_column=resolved["label_column"])
-    points = pipeline.sweep(
-        dataset, resolved["model"], a_values=_numbers(resolved, "a"),
-        beta_values=_numbers(resolved, "beta"), lam=resolved["lam"], n_seeds=resolved["seeds"],
+    a_values, beta_values = _numbers(resolved, "a"), _numbers(resolved, "beta")
+    # every point's parameters are checked before the first one trains
+    points = [UtilityParams(beta, resolved["lam"], a) for a in a_values for beta in beta_values]
+    planned = pipeline.plan(
+        dataset, resolved["model"], points, resolved["seeds"],
         baseline_config=_train_config(resolved), seed=resolved["seed"], jobs=resolved["jobs"],
     )
+    reports = [report for report, _ in planned]
     out_dir = Path(resolved["out"])
     _write_json(out_dir / "config.resolved.json", resolved)
-    pipeline.write_sweep_csv(points, out_dir / "sweep.csv")
-    for p in points:
+    pipeline.write_sweep_csv(reports, out_dir / "sweep.csv")
+    for r in reports:
         print(
-            f"a={p.human_accuracy} beta={p.beta}: baseline EU {p.baseline_eu:.4f}, "
-            f"delta EU {p.delta_eu:+.4f}"
+            f"a={r.params.human_accuracy} beta={r.params.beta}: baseline EU "
+            f"{r.mean_baseline.expected_utility:.4f}, delta EU {r.mean_delta.expected_utility:+.4f}"
         )
     return 0
 

@@ -1,5 +1,5 @@
 """End-to-end experiment protocol: grid search, warm-started team training,
-multi-seed aggregation, and parameter sweeps.
+multi-seed aggregation, and the sweep CSV.
 
 The protocol per seed: split 80/20 into train/test, standardize on the
 training portion, train the log-loss reference (checkpointed on accuracy),
@@ -9,13 +9,14 @@ pre-training evaluation is a checkpoint candidate, the team model's
 validation expected utility can never end below its warm start.
 
 ``plan`` runs this over (points x seeds) for any list of utility points;
-``run_experiment`` is a plan at one point and ``sweep`` one over an
-(a x beta) product. A seed's reference does not depend on the utility
-parameters (its loss, checkpoint metric and splits ignore them), so it is
-trained once and shared by every point; with ``team_loss_kind=None`` the
-plan trains and scores the references only. Seeds are independent, so
-``jobs`` fans them out over worker processes once per plan; results are
-collected in seed order and identical to a serial run.
+``run_experiment`` is a plan at one point, and a sensitivity sweep is a
+plan over an (a x beta) product whose reports ``write_sweep_csv`` writes.
+A seed's reference does not depend on the utility parameters (its loss,
+checkpoint metric and splits ignore them), so it is trained once and
+shared by every point; with ``team_loss_kind=None`` the plan trains and
+scores the references only. Seeds are independent, so ``jobs`` fans them
+out over worker processes once per plan; results are collected in seed
+order and identical to a serial run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "GridSpec",
     "SeedOutcome",
     "ExperimentReport",
-    "SweepPoint",
     "derive_seeds",
     "seed_splits",
     "fan_out",
@@ -51,7 +51,6 @@ __all__ = [
     "mismatch_seed",
     "plan",
     "run_experiment",
-    "sweep",
     "write_sweep_csv",
 ]
 
@@ -396,64 +395,24 @@ def run_experiment(
     return report
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    human_accuracy: float
-    beta: float
-    lam: float
-    baseline_eu: float
-    delta_eu: float
-
-
-def sweep(
-    dataset: Dataset,
-    model_kind: str,
-    a_values,
-    beta_values,
-    lam: float,
-    n_seeds: int = 10,
-    *,
-    baseline_config: TrainConfig | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list[SweepPoint]:
-    """``plan`` over the (human accuracy) x (penalty) product grid: each point
-    equals ``run_experiment`` at its parameters."""
-    # every point's parameters are checked before the first one trains
-    points = [
-        UtilityParams(beta=beta, lam=lam, human_accuracy=a)
-        for a in a_values
-        for beta in beta_values
-    ]
-    planned = plan(
-        dataset, model_kind, points, n_seeds,
-        baseline_config=baseline_config, seed=seed, jobs=jobs,
-    )
-    return [
-        SweepPoint(
-            human_accuracy=report.params.human_accuracy,
-            beta=report.params.beta,
-            lam=lam,
-            baseline_eu=report.mean_baseline.expected_utility,
-            delta_eu=report.mean_delta.expected_utility,
-        )
-        for report, _ in planned
-    ]
-
-
-def write_sweep_csv(points: list[SweepPoint], path) -> None:
-    """Header (a_or_beta, baseline_eu, delta_eu); the varying parameter fills
-    the first column, or "a=..|beta=.." when both vary."""
-    a_varies = len({p.human_accuracy for p in points}) > 1
-    beta_varies = len({p.beta for p in points}) > 1
+def write_sweep_csv(reports: Sequence[ExperimentReport], path) -> None:
+    """Header (a_or_beta, baseline_eu, delta_eu), one row per report; the
+    varying parameter fills the first column, or "a=..|beta=.." when both
+    vary. ValueError, before the file is opened, for references-only reports."""
+    if any(r.mean_delta is None for r in reports):
+        raise ValueError("sweep reports need team metrics: team_loss_kind=None trains none")
+    a_varies = len({r.params.human_accuracy for r in reports}) > 1
+    beta_varies = len({r.params.beta for r in reports}) > 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a_or_beta", "baseline_eu", "delta_eu"])
-        for p in points:
+        for r in reports:
+            a, beta = r.params.human_accuracy, r.params.beta
             if a_varies and beta_varies:
-                label = f"a={p.human_accuracy!r}|beta={p.beta!r}"
+                label = f"a={a!r}|beta={beta!r}"
             elif beta_varies:
-                label = repr(p.beta)
+                label = repr(beta)
             else:
-                label = repr(p.human_accuracy)
-            writer.writerow([label, repr(p.baseline_eu), repr(p.delta_eu)])
+                label = repr(a)
+            baseline_eu, delta_eu = r.mean_baseline.expected_utility, r.mean_delta.expected_utility
+            writer.writerow([label, repr(baseline_eu), repr(delta_eu)])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from teamopt.classifiers import init_model
-from teamopt.data import gen_moons, gen_scenario1, standardize
+from teamopt.cli import main
+from teamopt.data import gen_moons, gen_scenario1, save_csv, standardize
 from teamopt.losses import LossSpec
 from teamopt.optim import TrainConfig, train, validation_metric
 from teamopt.pipeline import (
@@ -16,7 +17,6 @@ from teamopt.pipeline import (
     plan,
     run_experiment,
     seed_splits,
-    sweep,
     write_sweep_csv,
 )
 from teamopt.team_model import HumanPolicy, UtilityParams
@@ -318,70 +318,110 @@ class TestPlan:
         )
 
 
-class TestSweep:
-    def test_product_grid_and_csv(self, tmp_path):
-        ds = gen_scenario1(1000, seed=13)
-        config = TrainConfig(learning_rate=0.1, l2_weight=1e-3, batch_size=32, max_epochs=15)
-        points = sweep(
-            ds, "linear", a_values=[0.9, 1.0], beta_values=[1.0], lam=0.5,
-            n_seeds=1, baseline_config=config, seed=0,
-        )
-        assert [(p.human_accuracy, p.beta) for p in points] == [(0.9, 1.0), (1.0, 1.0)]
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(points, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "a_or_beta,baseline_eu,delta_eu"
-        assert lines[1].startswith("0.9,")
+def product(a_values, beta_values, lam=0.5):
+    """The (a x beta) points of a sweep, in the order ``teamopt sweep`` plans them."""
+    return [UtilityParams(beta, lam, a) for a in a_values for beta in beta_values]
 
-    def test_invalid_last_point_fails_before_any_training(self, trainings):
-        with pytest.raises(ValueError, match="human_accuracy must be in"):
-            sweep(
-                gen_scenario1(200, seed=5), "linear", a_values=[0.9, 1.0, 1.5],
-                beta_values=[1.0], lam=0.5, n_seeds=1,
-                baseline_config=TrainConfig(max_epochs=1), seed=0,
-            )
+
+def sweep_cli(data_path, out, *flags):
+    """``teamopt sweep`` on ``data_path`` with a few short trainings."""
+    return main(
+        ["sweep", "--data", str(data_path), "--lambda", "0.5", "--seeds", "1", "--epochs", "5",
+         *flags, "--out", str(out)]
+    )
+
+
+@pytest.fixture
+def scenario_csv(tmp_path):
+    path = tmp_path / "s1.csv"
+    save_csv(gen_scenario1(600, seed=13), path)
+    return path
+
+
+def csv_rows(path):
+    return path.read_text().strip().splitlines()
+
+
+class TestSweep:
+    def test_product_grid_and_csv(self, scenario_csv, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert sweep_cli(scenario_csv, out, "--a", "0.9,1.0", "--beta", "1.0,5.0") == 0
+        lines = csv_rows(out / "sweep.csv")
+        assert lines[0] == "a_or_beta,baseline_eu,delta_eu"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "a=0.9|beta=1.0", "a=0.9|beta=5.0", "a=1.0|beta=1.0", "a=1.0|beta=5.0"
+        ]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == [
+            "a=0.9 beta=1.0", "a=0.9 beta=5.0", "a=1.0 beta=1.0", "a=1.0 beta=5.0"
+        ]
+        # one varying parameter fills the first column alone
+        assert sweep_cli(scenario_csv, tmp_path / "a", "--a", "0.9,1.0", "--beta", "1.0") == 0
+        assert [line.split(",")[0] for line in csv_rows(tmp_path / "a" / "sweep.csv")[1:]] == [
+            "0.9", "1.0"
+        ]
+
+    def test_invalid_last_point_fails_before_any_training(
+        self, scenario_csv, tmp_path, capsys, trainings
+    ):
+        out = tmp_path / "sweep"
+        assert sweep_cli(scenario_csv, out, "--a", "0.9,1.0,1.5", "--beta", "1.0") == 1
+        assert "human_accuracy must be in" in capsys.readouterr().err
+        assert not out.exists()
         assert trainings == []
 
-    def test_sweep_is_its_points(self, trainings):
+    def test_sweep_is_its_points(self, tmp_path, trainings):
         ds = gen_scenario1(600, seed=17)
         config = TrainConfig(max_epochs=6)
         n_seeds = 2
-        points = sweep(
-            ds, "linear", a_values=[0.8, 0.9], beta_values=[1.0, 5.0], lam=0.5,
-            n_seeds=n_seeds, baseline_config=config, seed=0,
-        )
+        points = product([0.8, 0.9], [1.0, 5.0])
+        reports = [r for r, _ in plan(ds, "linear", points, n_seeds, baseline_config=config, seed=0)]
         # each seed's reference is trained once and shared by the four points
         kinds = [spec.kind for spec, _, _ in trainings]
         assert kinds.count("log_loss") == n_seeds
         assert kinds.count("expected_utility_loss") == 4 * n_seeds
         assert len(kinds) == 5 * n_seeds
-        assert [(p.human_accuracy, p.beta) for p in points] == [
-            (0.8, 1.0), (0.8, 5.0), (0.9, 1.0), (0.9, 5.0)
-        ]
+        assert [r.params for r in reports] == points
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(reports, path)
+        rows = [line.split(",") for line in csv_rows(path)[1:]]
         # a point list that is no product grid plans its points the same way
         planned = plan(
             ds, "linear", [UtilityParams(5.0, 0.5, 0.9), UtilityParams(1.0, 0.5, 0.8)],
             n_seeds, baseline_config=config, seed=0,
         )
-        by_point = {(r.params.human_accuracy, r.params.beta): r for r, _ in planned}
-        assert list(by_point) == [(0.9, 5.0), (0.8, 1.0)]
-        for p in points:
-            rep = run_experiment(
-                ds, "linear", UtilityParams(beta=p.beta, lam=0.5, human_accuracy=p.human_accuracy),
-                n_seeds=n_seeds, baseline_config=config, seed=0,
-            )
-            assert p.baseline_eu == rep.mean_baseline.expected_utility
-            assert p.delta_eu == rep.mean_delta.expected_utility
-            if (p.human_accuracy, p.beta) in by_point:
-                assert by_point[p.human_accuracy, p.beta].to_dict() == rep.to_dict()
+        by_point = {r.params: r for r, _ in planned}
+        assert list(by_point) == [UtilityParams(5.0, 0.5, 0.9), UtilityParams(1.0, 0.5, 0.8)]
+        for params, row in zip(points, rows):
+            rep = run_experiment(ds, "linear", params, n_seeds=n_seeds, baseline_config=config, seed=0)
+            assert row == [
+                f"a={params.human_accuracy!r}|beta={params.beta!r}",
+                repr(rep.mean_baseline.expected_utility),
+                repr(rep.mean_delta.expected_utility),
+            ]
+            if params in by_point:
+                assert by_point[params].to_dict() == rep.to_dict()
 
-    def test_parallel_jobs_match_serial(self):
-        ds = gen_scenario1(600, seed=18)
-        args = dict(
-            a_values=[0.9, 1.0], beta_values=[1.0, 3.0], lam=0.5, n_seeds=2,
-            baseline_config=TrainConfig(max_epochs=5), seed=0,
-        )
-        assert sweep(ds, "linear", **args, jobs=2) == sweep(ds, "linear", **args)
+    def test_parallel_jobs_match_serial(self, scenario_csv, tmp_path, capsys):
+        flags = ["--a", "0.9,1.0", "--beta", "1.0,3.0", "--seeds", "2"]
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert sweep_cli(scenario_csv, serial, *flags) == 0
+        serial_out = capsys.readouterr().out
+        assert sweep_cli(scenario_csv, parallel, *flags, "--jobs", "2") == 0
+        assert capsys.readouterr().out == serial_out
+        assert (parallel / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+    def test_references_only_reports_are_rejected(self, tmp_path):
+        reports = [
+            r for r, _ in plan(
+                gen_scenario1(300, seed=5), "linear", product([0.9, 1.0], [1.0]), 1,
+                baseline_config=TrainConfig(max_epochs=2), team_loss_kind=None, seed=0,
+            )
+        ]
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="sweep reports need team metrics"):
+            write_sweep_csv(reports, path)
+        assert not path.exists()
 
     def test_always_accept_degenerate_point(self):
         # a=0 with lam=0 puts the threshold at 0: nothing is ever solved, so
