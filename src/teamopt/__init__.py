@@ -26,7 +26,6 @@ from .classifiers import (
     save_model,
 )
 from .data import (
-    BlobSpec,
     Dataset,
     IngestionError,
     gen_moons,

@@ -82,17 +82,13 @@ class ModelReport:
     accept_utility_mass: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ReportDiff:
-    """Team minus baseline, bin by bin and on the accept-region aggregates."""
+    """Team minus baseline on the test metrics and the accept-region aggregates."""
 
     d_accuracy: float
     d_expected_utility: float
     d_empirical_utility: float
-    d_reliability: np.ndarray
-    d_confidence_hist: np.ndarray
-    d_accuracy_density: np.ndarray
-    d_utility_density: np.ndarray
     d_accept_fraction: float
     d_accept_accuracy_mass: float
     d_accept_utility_mass: float
@@ -190,18 +186,13 @@ def report(
 
 
 def compare_reports(baseline: ModelReport, team: ModelReport) -> ReportDiff:
-    """Structured team-minus-baseline diff; requires identical binning."""
-    if not np.array_equal(baseline.curves.bin_edges, team.curves.bin_edges):
-        raise ValueError("behavior curves use different binnings")
+    """Team minus baseline on the metrics and the accept-region aggregates;
+    the behavior curves are not compared, so their binnings may differ."""
     b, t = baseline, team
     return ReportDiff(
         d_accuracy=t.metrics.accuracy - b.metrics.accuracy,
         d_expected_utility=t.metrics.expected_utility - b.metrics.expected_utility,
         d_empirical_utility=t.metrics.empirical_utility - b.metrics.empirical_utility,
-        d_reliability=t.curves.reliability - b.curves.reliability,
-        d_confidence_hist=t.curves.confidence_hist - b.curves.confidence_hist,
-        d_accuracy_density=t.curves.accuracy_density - b.curves.accuracy_density,
-        d_utility_density=t.curves.utility_density - b.curves.utility_density,
         d_accept_fraction=t.accept_fraction - b.accept_fraction,
         d_accept_accuracy_mass=t.accept_accuracy_mass - b.accept_accuracy_mass,
         d_accept_utility_mass=t.accept_utility_mass - b.accept_utility_mass,

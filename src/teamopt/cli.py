@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -334,15 +335,13 @@ def cmd_analyze(resolved: dict) -> int:
     _write_json(out_dir / "config.resolved.json", resolved)
     baseline = analysis.report(baseline_model, dataset, policy, n_bins=resolved["bins"])
     team = analysis.report(team_model, dataset, policy, n_bins=resolved["bins"])
-    diff = analysis.compare_reports(baseline, team)
+    diff = asdict(analysis.compare_reports(baseline, team))
     _write_json(out_dir / "baseline_metrics.json", baseline.metrics.to_dict())
     _write_json(out_dir / "team_metrics.json", team.metrics.to_dict())
     analysis.curves_to_csv(baseline.curves, out_dir / "baseline_curves.csv")
     analysis.curves_to_csv(team.curves, out_dir / "team_curves.csv")
-    # the accept-region and metric deltas; the per-bin curves go to no file
-    diff_dict = {k: v for k, v in vars(diff).items() if isinstance(v, float)}
-    _write_json(out_dir / "diff.json", diff_dict)
-    print(json.dumps(diff_dict, sort_keys=True))
+    _write_json(out_dir / "diff.json", diff)
+    print(json.dumps(diff, sort_keys=True))
     return 0
 
 

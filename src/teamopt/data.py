@@ -20,9 +20,7 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "BlobSpec",
     "IngestionError",
-    "scenario1_blobs",
     "gen_scenario1",
     "gen_moons",
     "load_csv",
@@ -85,33 +83,22 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class BlobSpec:
-    """Axis-aligned uniform square blob: center, half-width, count, label."""
-
-    center: tuple[float, float]
-    half_width: float
-    count: int
-    label: int
-
-    def __post_init__(self) -> None:
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be > 0, got {self.half_width}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-# Blob layout: three standard negative blobs on the left, two standard
-# positive blobs on the right, a boundary-adjacent positive blob A, and an
-# embedded negative blob B (half the standard negative count) inside the
-# positive region. All half-widths 0.6.
+# The scenario1 layout in draw order, negative blobs first: (center, label,
+# share of its class's count). Three standard negative blobs on the left, the
+# embedded negative blob B inside the positive region with half their share,
+# two standard positive blobs on the right and the boundary-adjacent positive
+# blob A. Every blob is a uniform square of half-width 0.6.
+_BLOBS = (
+    ((-2.0, -2.0), 0, 1.0),
+    ((-2.0, 2.0), 0, 1.0),
+    ((-2.0, 0.0), 0, 1.0),
+    ((2.0, 0.0), 0, 0.5),
+    ((2.0, -2.0), 1, 1.0),
+    ((2.0, 2.0), 1, 1.0),
+    ((0.4, 0.0), 1, 1.0),
+)
 _POSITIVE_FRACTION = 0.43
 _HALF_WIDTH = 0.6
-_NEGATIVE_CENTERS = ((-2.0, -2.0), (-2.0, 2.0), (-2.0, 0.0))
-_EMBEDDED_NEGATIVE_CENTER = (2.0, 0.0)
-_POSITIVE_CENTERS = ((2.0, -2.0), (2.0, 2.0), (0.4, 0.0))
 
 
 def _allocate(total: int, weights: list[float]) -> list[int]:
@@ -126,46 +113,22 @@ def _allocate(total: int, weights: list[float]) -> list[int]:
     return counts
 
 
-def scenario1_blobs(n: int) -> list[BlobSpec]:
-    """Blob specifications for an n-point draw of the scenario1 layout."""
+def gen_scenario1(n: int, seed: int = 0) -> Dataset:
+    """Sample the fixed two-dimensional blob layout; deterministic given seed."""
     if n < 100:
         raise ValueError(f"n must be >= 100, got {n}")
     n_pos = round(_POSITIVE_FRACTION * n)
-    n_neg = n - n_pos
-    pos_counts = _allocate(n_pos, [1.0] * len(_POSITIVE_CENTERS))
-    neg_counts = _allocate(n_neg, [1.0] * len(_NEGATIVE_CENTERS) + [0.5])
-    blobs = [
-        BlobSpec(center=c, half_width=_HALF_WIDTH, count=k, label=0)
-        for c, k in zip(_NEGATIVE_CENTERS, neg_counts[:-1])
+    counts = [
+        k
+        for label, total in ((0, n - n_pos), (1, n_pos))
+        for k in _allocate(total, [share for _, y, share in _BLOBS if y == label])
     ]
-    blobs.append(
-        BlobSpec(
-            center=_EMBEDDED_NEGATIVE_CENTER,
-            half_width=_HALF_WIDTH,
-            count=neg_counts[-1],
-            label=0,
-        )
-    )
-    blobs.extend(
-        BlobSpec(center=c, half_width=_HALF_WIDTH, count=k, label=1)
-        for c, k in zip(_POSITIVE_CENTERS, pos_counts)
-    )
-    return blobs
-
-
-def gen_scenario1(n: int, seed: int = 0) -> Dataset:
-    """Sample the fixed two-dimensional blob layout; deterministic given seed."""
-    blobs = scenario1_blobs(n)
     rng = np.random.default_rng(seed)
-    parts = []
-    labels = []
-    for blob in blobs:
-        low = np.array(blob.center) - blob.half_width
-        high = np.array(blob.center) + blob.half_width
-        parts.append(rng.uniform(low, high, size=(blob.count, 2)))
-        labels.append(np.full(blob.count, blob.label, dtype=np.int64))
-    X = np.concatenate(parts)
-    y = np.concatenate(labels)
+    X = np.concatenate([
+        rng.uniform(np.array(center) - _HALF_WIDTH, np.array(center) + _HALF_WIDTH, size=(k, 2))
+        for (center, _, _), k in zip(_BLOBS, counts)
+    ])
+    y = np.repeat(np.array([label for _, label, _ in _BLOBS], dtype=np.int64), counts)
     perm = rng.permutation(n)
     return Dataset(features=X[perm], labels=y[perm], feature_names=("x1", "x2"))
 

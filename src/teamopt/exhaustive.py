@@ -195,26 +195,25 @@ def _score_grid(
     correct, wrong, solved = np.stack(
         [count(dataset.features @ direction) for direction in directions], axis=1
     )
+    # The values of an accepted correct, an accepted wrong and a solved
+    # example; a kind no example can have (nothing accepted when the threshold
+    # exceeds 1, nothing solved when it is <= 0.5) counts 0. Empirical utility
+    # takes exactly these values. For expected utility a solved example pays
+    # exactly the solve utility and the other two are ceilings: an accepted
+    # correct example pays at most its value at h = 1, and an accepted wrong
+    # one has h = 1 - confidence <= 1 - max(c, 1/2). The kernel is given that
+    # confidence, not h, so that it rounds h as it does for every example.
+    wrong_prob1 = 1.0 if objective == "empirical_utility" else max(policy.accept_threshold, 0.5)
+    _, (v_correct, v_wrong, v_solved) = utilities(
+        np.array([1.0, wrong_prob1, 0.5]), np.array([1, 0, 0]), policy, objective
+    )
+    sums = correct * v_correct + wrong * v_wrong + solved * v_solved
     if objective == "empirical_utility":
-        # the values of an accepted correct, an accepted wrong and a solved
-        # example; a kind no example can have (nothing accepted when the
-        # threshold exceeds 1, nothing solved when it is <= 0.5) counts 0
-        _, (v_correct, v_wrong, v_solved) = utilities(
-            np.array([1.0, 1.0, 0.5]), np.array([1, 0, 0]), policy, "empirical_utility"
-        )
-        return ((correct * v_correct + wrong * v_wrong + solved * v_solved) / n).reshape(shape)
-    params = policy.params
-    p, beta, solve = policy.accept_probability, params.beta, params.solve_utility
-    # Ceilings of one example's expected utility: a solved example pays
-    # exactly the solve utility, an accepted correct one at most its value at
-    # h = 1, and an accepted wrong one has h = 1 - confidence <= 1 - max(c, 1/2).
-    h_wrong = 1.0 - max(policy.accept_threshold, 0.5)
-    v_correct = p + (1.0 - p) * solve
-    v_wrong = p * ((1.0 + beta) * h_wrong - beta) + (1.0 - p) * solve
+        return (sums / n).reshape(shape)
     # covers the rounding of the ceilings and of the exact sums, so that each
     # ceiling is at least its candidate's exact sum
-    slack = 1e-9 * n * max(1.0, beta, abs(solve))
-    sums = (correct * v_correct + wrong * v_wrong + solved * solve + slack).ravel()
+    slack = 1e-9 * n * max(1.0, policy.params.beta, abs(policy.params.solve_utility))
+    sums = (sums + slack).ravel()
     # Branch and bound: take the candidates by falling ceiling and replace the
     # ceiling by the exact sum while it may still reach the best exact sum so
     # far. A candidate that ties the maximum has a ceiling at least as high,

@@ -204,9 +204,6 @@ class SeedOutcome:
     delta: Metrics | None
     team_val_gain: float | None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _mean_metrics(items: list[Metrics | None]) -> Metrics | None:
     if items[0] is None:

@@ -16,14 +16,12 @@ from teamopt import data as data_module
 from teamopt.analysis import evaluate
 from teamopt.classifiers import Model
 from teamopt.data import (
-    BlobSpec,
     Dataset,
     IngestionError,
     gen_moons,
     gen_scenario1,
     load_csv,
     save_csv,
-    scenario1_blobs,
     select_features,
     split,
     standardize,
@@ -49,23 +47,22 @@ class TestScenario1:
             gen_scenario1(99)
 
     def test_blob_allocation(self):
-        blobs = scenario1_blobs(10000)
-        assert sum(b.count for b in blobs) == 10000
-        neg = [b for b in blobs if b.label == 0]
-        pos = [b for b in blobs if b.label == 1]
-        assert sum(b.count for b in pos) == 4300
+        ds = gen_scenario1(10000, seed=3)
+        blobs = data_module._BLOBS
+        centers = np.array([center for center, _, _ in blobs])
+        # (points, blobs): the point lies in the blob's square
+        inside = (
+            np.max(np.abs(ds.features[:, None, :] - centers), axis=2)
+            <= data_module._HALF_WIDTH + 1e-12
+        )
+        assert np.all(inside.sum(axis=1) == 1)
+        blob = inside.argmax(axis=1)
+        assert np.array_equal(ds.labels, np.array([label for _, label, _ in blobs])[blob])
+        assert np.count_nonzero(ds.labels == 1) == 4300
         # the embedded blob carries half the standard negative count
-        standard = neg[0].count
-        embedded = next(b for b in neg if b.center == (2.0, 0.0))
-        assert embedded.count == pytest.approx(standard / 2, abs=1.0)
-
-    def test_points_stay_inside_blobs(self):
-        ds = gen_scenario1(2000, seed=3)
-        blobs = scenario1_blobs(2000)
-        centers = np.array([b.center for b in blobs])
-        for pt in ds.features[:200]:
-            dists = np.max(np.abs(centers - pt), axis=1)
-            assert dists.min() <= 0.6 + 1e-12
+        counts = np.bincount(blob, minlength=len(blobs))
+        embedded = [center for center, _, _ in blobs].index((2.0, 0.0))
+        assert counts[embedded] == pytest.approx(counts[0] / 2, abs=1.0)
 
     def test_accuracy_utility_tradeoff_with_fixed_predictors(self):
         # A soft boundary left of the near-boundary positive blob is the more
@@ -136,16 +133,6 @@ class TestPipelineComparison:
             for d_acc, d_eu in trained_vs_searched
         )
         assert opposite >= 7
-
-
-class TestBlobSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BlobSpec(center=(0.0, 0.0), half_width=0.0, count=10, label=0)
-        with pytest.raises(ValueError):
-            BlobSpec(center=(0.0, 0.0), half_width=0.5, count=0, label=0)
-        with pytest.raises(ValueError):
-            BlobSpec(center=(0.0, 0.0), half_width=0.5, count=10, label=2)
 
 
 class TestMoons:

@@ -350,6 +350,27 @@ class TestScoreGridOracle:
         assert_equal_within_rounding(got, want)
 
 
+    @pytest.mark.parametrize(
+        "beta, above_one",
+        [(1.2, True), (1.3, False), (3.4, True), (3.6, False), (7.2, False), (7.3, True)],
+    )
+    def test_argmax_where_the_accept_value_at_h1_rounds_off_one(self, beta, above_one):
+        """The accept value at h = 1, (1+beta) - beta, rounds above or below 1
+        at these betas; every cell is still the oracle's value or a ceiling
+        below the maximum, and the search returns the oracle's argmax."""
+        rounded = (1.0 + beta) - beta
+        assert rounded > 1.0 if above_one else rounded < 1.0
+        ds = split(gen_scenario1(1000, seed=4), [0.6, 0.4], seed=0)[0]
+        pol = HumanPolicy(UtilityParams(beta, 0.5, 1.0))
+        grid = LinearGrid(n_angles=24, n_offsets=41)
+        got = _score_grid(ds, "expected_utility", pol, grid)
+        want = dense_score_grid(ds, "expected_utility", pol, grid)
+        evaluated = got.view(np.int64) == want.view(np.int64)
+        assert np.all(got[~evaluated] >= want[~evaluated])
+        assert np.all(got[~evaluated] < got.max())
+        assert_is_candidate(exhaustive_search(ds, "expected_utility", pol, grid), grid, np.argmax(want))
+
+
 def lattice_problem():
     """Half-integer lattice labelled by the sign of x1, each point three
     times: projections repeat, and at sharpness 300 the offsets 0.125, 0.25
